@@ -15,7 +15,6 @@
 //! * [`linux_vm`] — cold-starting a service inside a freshly booted Linux
 //!   guest.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod docker;

@@ -6,7 +6,6 @@
 //! experiments depend on. See `EXPERIMENTS.md` at the repository root for
 //! the paper-vs-measured comparison.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod boot_storm;

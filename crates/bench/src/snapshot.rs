@@ -15,13 +15,13 @@
 //! * **virtual** metrics are counts and virtual-time latencies read from
 //!   the deterministic sim (events executed, commits merged, bytes through
 //!   the ring, p50 handoff latency in sim-milliseconds). They are exact —
-//!   `jitsu-lint` guarantees no wall clock, ambient entropy or unordered
-//!   iteration can leak into these paths — so *any* drift against the
-//!   baseline fails the gate: a virtual metric only moves when an
+//!   clippy.toml's disallowed lists keep wall clock, ambient entropy and
+//!   hash-ordered collections out of these paths — so *any* drift against
+//!   the baseline fails the gate: a virtual metric only moves when an
 //!   intentional algorithmic change moves it.
 //! * **wall** metrics are best-of-N timings of the same workloads. Wall
-//!   time lives only in the root `src/bin/bench_snapshot` binary (outside
-//!   the `crates/` D002 fence); this module takes an abstract
+//!   time lives only in the root `src/bin/bench_snapshot` binary (the one
+//!   sanctioned host-clock reader); this module takes an abstract
 //!   [`WallTimer`] so nothing under `crates/` ever reads the host clock.
 //!   Wall comparisons tolerate a configurable percentage before declaring
 //!   a regression.

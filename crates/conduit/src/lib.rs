@@ -17,8 +17,17 @@
 //! `jitsud` conduit node, and Synjitsu hands TCP state to booting unikernels
 //! through the same store (§3.3).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A sim-logic crate that encodes wire formats: outside tests, no panics,
+// discarded `Result`s or unchecked narrowing casts without a reasoned
+// `#[expect]` (README, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::cast_possible_truncation
+)]
 
 pub mod flows;
 pub mod rendezvous;

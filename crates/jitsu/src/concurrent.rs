@@ -352,9 +352,12 @@ impl ConcurrentJitsud {
         // Synjitsu registers its conduit endpoint up front: every booting
         // unikernel rendezvouses here to drain its proxied connections.
         let mut conduit = ConduitRegistry::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "engine setup on a fresh store; conduit registration cannot collide"
+        )]
         conduit
             .register(&mut toolstack.xenstore, "synjitsu", DomId::DOM0)
-            // jitsu-lint: allow(P001, "engine setup on a fresh store; conduit registration cannot collide")
             .expect("conduit registration succeeds on a fresh store");
         let launcher = Launcher::new(toolstack, config.boot);
         let directory = DirectoryService::new(config.clone());
@@ -573,10 +576,13 @@ impl ConcurrentJitsud {
                 // nothing.
                 for frame in frames {
                     world.metrics.handoff.queued_during_prepare += 1;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "prepare phase keeps the parked-frame path writable by dom0"
+                    )]
                     world
                         .synjitsu
                         .handle_frame(xs, name, &frame)
-                        // jitsu-lint: allow(P001, "prepare phase keeps the parked-frame path writable by dom0")
                         .expect("synjitsu parks frames during prepare");
                 }
             }
@@ -605,10 +611,13 @@ impl ConcurrentJitsud {
             }
             let mut to_client = Vec::new();
             for frame in to_proxy.drain(..) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "synjitsu's iface is alive for the whole proxy window"
+                )]
                 to_client.extend(
                     synjitsu
                         .handle_frame(xs, name, &frame)
-                        // jitsu-lint: allow(P001, "synjitsu's iface is alive for the whole proxy window")
                         .expect("synjitsu accepts proxied frames"),
                 );
             }
@@ -732,11 +741,14 @@ impl ConcurrentJitsud {
         let now = sim.now();
         let world = sim.world_mut();
         let client = world.new_client(now);
+        #[expect(
+            clippy::expect_used,
+            reason = "queries reaching here matched a configured service name"
+        )]
         let svc = world
             .config
             .service(&name)
             .cloned()
-            // jitsu-lint: allow(P001, "queries reaching here matched a configured service name")
             .expect("directory only answers configured names");
         match world.services.get_mut(&name) {
             Some(Lifecycle::AwaitingSlot { queued, .. }) => {
@@ -786,11 +798,14 @@ impl ConcurrentJitsud {
     fn on_admitted<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
         let now = sim.now();
         let world = sim.world_mut();
+        #[expect(
+            clippy::expect_used,
+            reason = "launch actions are only emitted for configured services"
+        )]
         let svc = world
             .config
             .service(&name)
             .cloned()
-            // jitsu-lint: allow(P001, "launch actions are only emitted for configured services")
             .expect("directory only launches configured names");
         if matches!(world.services.get(&name), Some(Lifecycle::Draining { .. })) {
             // Reap/resummon race: the domain is still tearing down; the
@@ -808,10 +823,13 @@ impl ConcurrentJitsud {
         );
         let client = world.new_client(now);
         if world.config.use_synjitsu {
+            #[expect(
+                clippy::expect_used,
+                reason = "synjitsu proxy setup repeats a registration that already succeeded"
+            )]
             world
                 .synjitsu
                 .start_proxying(&mut world.launcher.toolstack.xenstore, &svc)
-                // jitsu-lint: allow(P001, "synjitsu proxy setup repeats a registration that already succeeded")
                 .expect("synjitsu can begin proxying");
             Self::open_client_flow(world, &svc, client);
         }
@@ -835,10 +853,13 @@ impl ConcurrentJitsud {
             if world.launch_queue.is_empty() || !world.slots.try_acquire() {
                 return;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the non-empty check on the previous line"
+            )]
             let name = world
                 .launch_queue
                 .pop_front()
-                // jitsu-lint: allow(P001, "guarded by the non-empty check on the previous line")
                 .expect("checked non-empty above");
             let Some(Lifecycle::AwaitingSlot { queued, .. }) = world.services.remove(&name) else {
                 // The service left AwaitingSlot some other way (launch
@@ -846,11 +867,14 @@ impl ConcurrentJitsud {
                 world.slots.release();
                 continue;
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "queued service names were validated at admission"
+            )]
             let svc = world
                 .config
                 .service(&name)
                 .cloned()
-                // jitsu-lint: allow(P001, "queued service names were validated at admission")
                 .expect("queued services are configured");
             world.reserved_mib = world.reserved_mib.saturating_sub(svc.image.memory_mib);
             let seed = world.next_seed();
@@ -862,12 +886,18 @@ impl ConcurrentJitsud {
                     // Under a storm, several of these overlap; the engine
                     // decides at commit time whether they merge or abort.
                     let xs = &mut world.launcher.toolstack.xenstore;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "dom0 transactions are exempt from the per-domain quota"
+                    )]
                     let boot_tx = xs
                         .transaction_start(DomId::DOM0)
-                        // jitsu-lint: allow(P001, "dom0 transactions are exempt from the per-domain quota")
                         .expect("dom0 transactions are not quota-limited");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "boot registration writes go to fresh per-service paths"
+                    )]
                     Self::write_boot_record(xs, boot_tx, &name, outcome.dom)
-                        // jitsu-lint: allow(P001, "boot registration writes go to fresh per-service paths")
                         .expect("boot registration writes succeed");
                     world.boot_txns.insert(name.clone(), boot_tx);
                     // Keep the packet-level instance: it is the unikernel
@@ -980,22 +1010,31 @@ impl ConcurrentJitsud {
             let dom = world.dom_of(&name);
             let xs = &mut world.launcher.toolstack.xenstore;
             let state_path = format!("/jitsu/service/{name}/state");
+            #[expect(
+                clippy::expect_used,
+                reason = "transactional write inside an open boot transaction"
+            )]
             xs.write(DomId::DOM0, Some(tx), &state_path, b"built")
-                // jitsu-lint: allow(P001, "transactional write inside an open boot transaction")
                 .expect("transactional write succeeds");
             match xs.transaction_end(DomId::DOM0, tx, true) {
                 Ok(()) => {}
                 Err(xenstore::Error::Again) => {
                     if let Some(dom) = dom {
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the retry re-registers on a conflict-free snapshot"
+                        )]
                         xs.with_transaction(DomId::DOM0, 8, |xs, t| {
                             Self::write_boot_record(xs, t, &name, dom)?;
                             xs.write(DomId::DOM0, Some(t), &state_path, b"built")
                         })
-                        // jitsu-lint: allow(P001, "the retry re-registers on a conflict-free snapshot")
                         .expect("boot-registration retry succeeds");
                     }
                 }
-                // jitsu-lint: allow(P001, "commit failures other than EAGAIN mean a corrupted store; fail the experiment loudly")
+                #[expect(
+                    clippy::panic,
+                    reason = "commit failures other than EAGAIN mean a corrupted store; fail the experiment loudly"
+                )]
                 Err(e) => panic!("boot registration commit failed: {e}"),
             }
         }
@@ -1021,10 +1060,13 @@ impl ConcurrentJitsud {
             return;
         };
         let dom = *dom;
+        #[expect(
+            clippy::expect_used,
+            reason = "prepare flush happens while the synjitsu service still exists"
+        )]
         let flushed = world
             .synjitsu
             .prepare_handoff(&mut world.launcher.toolstack.xenstore, &name)
-            // jitsu-lint: allow(P001, "prepare flush happens while the synjitsu service still exists")
             .expect("prepare flushes the final records");
 
         // The unikernel connects to Synjitsu's conduit endpoint and drains
@@ -1032,13 +1074,19 @@ impl ConcurrentJitsud {
         let records = world.synjitsu.connection_records(&name);
         let conn_name = name.replace('.', "_");
         let (xs, grants, evtchn) = world.launcher.toolstack.conduit_parts();
+        #[expect(
+            clippy::expect_used,
+            reason = "the synjitsu endpoint was registered during engine setup"
+        )]
         ConduitRegistry::connect(xs, dom, "synjitsu", &conn_name)
-            // jitsu-lint: allow(P001, "the synjitsu endpoint was registered during engine setup")
             .expect("the synjitsu conduit endpoint is registered");
+        #[expect(
+            clippy::expect_used,
+            reason = "rendezvous follows the accept the unikernel just posted"
+        )]
         let mut accepted = world
             .conduit
             .accept_one(xs, grants, evtchn, "synjitsu", DomId::DOM0, &conn_name)
-            // jitsu-lint: allow(P001, "rendezvous follows the accept the unikernel just posted")
             .expect("synjitsu accepts the handoff rendezvous");
         let mut wire = Vec::new();
         for (_, tcb) in &records {
@@ -1046,15 +1094,21 @@ impl ConcurrentJitsud {
             wire.extend_from_slice(&(sexp.len() as u32).to_be_bytes());
             wire.extend_from_slice(sexp.as_bytes());
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "drain loop exits once the vchan reports no more bytes"
+        )]
         let drained_bytes = accepted
             .channel
             .stream(Side::Server, &wire, evtchn)
-            // jitsu-lint: allow(P001, "drain loop exits once the vchan reports no more bytes")
             .expect("the vchan drain makes progress");
         accepted.channel.close(Side::Server);
         accepted.channel.teardown(grants, evtchn);
+        #[expect(
+            clippy::expect_used,
+            reason = "teardown of conduit metadata this engine created"
+        )]
         ConduitRegistry::close(xs, "synjitsu", DomId::DOM0, &conn_name, accepted.flow_id)
-            // jitsu-lint: allow(P001, "teardown of conduit metadata this engine created")
             .expect("handoff conduit metadata tears down");
         // Handoff flows are short-lived; prune the closed entries so the
         // flows table stays bounded over a storm's worth of relaunches.
@@ -1064,24 +1118,36 @@ impl ConcurrentJitsud {
         let mut drained = Vec::new();
         let mut cursor = 0usize;
         while cursor + 4 <= drained_bytes.len() {
+            #[expect(
+                clippy::expect_used,
+                reason = "length prefix was written as exactly 4 bytes by the drain protocol"
+            )]
             let len = u32::from_be_bytes(
                 drained_bytes[cursor..cursor + 4]
                     .try_into()
-                    // jitsu-lint: allow(P001, "length prefix was written as exactly 4 bytes by the drain protocol")
                     .expect("4 bytes"),
             ) as usize;
             cursor += 4;
+            #[expect(
+                clippy::expect_used,
+                reason = "records are emitted by Tcb::to_sexp, which is ASCII"
+            )]
             let sexp = std::str::from_utf8(&drained_bytes[cursor..cursor + len])
-                // jitsu-lint: allow(P001, "records are emitted by Tcb::to_sexp, which is ASCII")
                 .expect("records are valid UTF-8");
             cursor += len;
-            // jitsu-lint: allow(P001, "records round-trip through the sexp codec by construction")
+            #[expect(
+                clippy::expect_used,
+                reason = "records round-trip through the sexp codec by construction"
+            )]
             drained.push(Tcb::from_sexp(sexp).expect("records round-trip"));
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a Launching service always owns a data plane"
+        )]
         let plane = world
             .planes
             .get_mut(&name)
-            // jitsu-lint: allow(P001, "a Launching service always owns a data plane")
             .expect("launching services have a data plane");
         plane.drained = drained;
         world.tracer.emit(
@@ -1106,10 +1172,13 @@ impl ConcurrentJitsud {
     fn on_commit_handoff<S: Scheduler<World = ConcurrentJitsud>>(sim: &mut S, name: String) {
         let now = sim.now();
         let world = sim.world_mut();
+        #[expect(
+            clippy::expect_used,
+            reason = "takeover transaction operates on paths this engine owns"
+        )]
         let pending = world
             .synjitsu
             .commit_handoff(&mut world.launcher.toolstack.xenstore, &name)
-            // jitsu-lint: allow(P001, "takeover transaction operates on paths this engine owns")
             .expect("the takeover commits");
         let Some(plane) = world.planes.get_mut(&name) else {
             return;
@@ -1340,15 +1409,21 @@ impl ConcurrentJitsud {
             debug_assert!(false, "drain-done without a Draining {name}");
             return;
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "Draining lifecycle holds the domain until retirement"
+        )]
         world
             .launcher
             .retire(dom)
-            // jitsu-lint: allow(P001, "Draining lifecycle holds the domain until retirement")
             .expect("draining domain exists until retired");
         // The unikernel's data plane dies with the domain, and so does its
         // lifecycle record in the store.
         world.planes.remove(&name);
-        // jitsu-lint: allow(R001, "lifecycle record removal is best-effort; the path is gone if a racing retire won")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "lifecycle record removal is best-effort; the path is gone if a racing retire won"
+        )]
         let _ = world.launcher.toolstack.xenstore.rm(
             DomId::DOM0,
             None,
@@ -1363,17 +1438,23 @@ impl ConcurrentJitsud {
         }
         // Re-entry: waiters arrived while the old domain drained. Launch
         // again from scratch (the directory already shows it as launching).
+        #[expect(
+            clippy::expect_used,
+            reason = "drained service names come from the config map"
+        )]
         let svc = world
             .config
             .service(&name)
             .cloned()
-            // jitsu-lint: allow(P001, "drained service names come from the config map")
             .expect("drained services are configured");
         if world.config.use_synjitsu {
+            #[expect(
+                clippy::expect_used,
+                reason = "relaunch repeats a proxy setup that already succeeded"
+            )]
             world
                 .synjitsu
                 .start_proxying(&mut world.launcher.toolstack.xenstore, &svc)
-                // jitsu-lint: allow(P001, "relaunch repeats a proxy setup that already succeeded")
                 .expect("synjitsu can begin proxying");
             for client in &queued {
                 Self::open_client_flow(world, &svc, *client);

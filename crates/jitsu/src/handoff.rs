@@ -200,7 +200,10 @@ impl HandoffCoordinator {
                 }
             }
         }
-        // jitsu-lint: allow(R001, "the pending directory may be absent when no frames were parked; rm is best-effort")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the pending directory may be absent when no frames were parked; rm is best-effort"
+        )]
         let _ = xs.rm(DomId::DOM0, None, &base);
         Ok(frames)
     }
@@ -284,7 +287,7 @@ impl HandoffCoordinator {
 mod tests {
     use super::*;
     use netstack::ipv4::Ipv4Addr;
-    use netstack::tcp::TcpState;
+    use netstack::tcp::{SeqNum, TcpState};
     use xenstore::EngineKind;
 
     fn tcb(port: u16, buffered: &[u8]) -> Tcb {
@@ -294,10 +297,10 @@ mod tests {
             local_port: 80,
             remote_ip: Ipv4Addr::new(192, 168, 1, 100),
             remote_port: port,
-            isn: 1000,
-            snd_nxt: 1001,
-            snd_una: 1001,
-            rcv_nxt: 5000,
+            isn: SeqNum(1000),
+            snd_nxt: SeqNum(1001),
+            snd_una: SeqNum(1001),
+            rcv_nxt: SeqNum(5000),
             buffered: buffered.to_vec(),
         }
     }

@@ -26,8 +26,15 @@
 //!   memory-exhaustion `SERVFAIL` and idle reaping (§3.3) — the machinery
 //!   the boot-storm experiment drives.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A sim-logic crate: outside tests, no panics or discarded `Result`s
+// without a reasoned `#[expect]` (README, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 
 pub mod concurrent;
 pub mod config;

@@ -147,7 +147,10 @@ impl Synjitsu {
         }
         // Mirror every live connection's TCB (with buffered bytes) into the
         // store, Figure 7 style.
-        // jitsu-lint: allow(P001, "presence checked by the caller's lookup above")
+        #[expect(
+            clippy::expect_used,
+            reason = "presence checked by the caller's lookup above"
+        )]
         let to_record = Self::collect_records(self.services.get_mut(name).expect("present above"));
         for (id, tcb) in &to_record {
             self.handoff.record_connection(xs, name, *id, tcb)?;

@@ -6,9 +6,9 @@
 //! allocation holds the received bytes, and [`FrameBuf::slice`] hands out
 //! O(1) windows into it — an Ethernet payload, the IPv4 payload inside it,
 //! the TCP payload inside *that* — all sharing the single allocation. The
-//! jitsu-lint A001 ratchet (`crates/lint/budget.toml`) enforces that the
-//! hot path stays this way: a packet is copied at most once, at ring
-//! ingress.
+//! `shares_allocation` checks in `tests/frame_path.rs` and the pinned
+//! `copies_per_packet` benchmark metric keep the hot path this way: a
+//! packet is copied at most once, at ring ingress.
 //!
 //! [`FrameBufMut`] is the builder half for emit paths: append bytes, then
 //! [`FrameBufMut::freeze`] into an immutable shared buffer. Copies that
@@ -98,8 +98,11 @@ impl FrameBuf {
             Bound::Excluded(&e) => e,
             Bound::Unbounded => len,
         };
+        #[expect(
+            clippy::panic,
+            reason = "mirrors the std slice-index contract: a bad range is a caller bug"
+        )]
         if start > end || end > len {
-            // jitsu-lint: allow(P001, "mirrors the std slice-index contract: a bad range is a caller bug")
             panic!("FrameBuf::slice: range {start}..{end} out of bounds for length {len}");
         }
         if start == end {
@@ -377,7 +380,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    #[allow(clippy::reversed_empty_ranges)]
+    #[expect(
+        clippy::reversed_empty_ranges,
+        reason = "the test feeds an inverted range on purpose"
+    )]
     fn inverted_slice_panics_like_std() {
         FrameBuf::from_vec(vec![1, 2, 3]).slice(2..1);
     }

@@ -394,7 +394,7 @@ impl Interface {
                 seg.dst_port,
                 seg.src_port,
                 seg.ack,
-                seg.seq.wrapping_add(seg.seq_len()),
+                seg.seq + seg.seq_len(),
                 TcpFlags::RST,
             );
             let bytes = rst.emit(self.ip, packet.src);

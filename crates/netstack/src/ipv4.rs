@@ -184,7 +184,10 @@ impl Ipv4Packet {
 
     /// Serialise to wire bytes, computing the header checksum.
     pub fn emit(&self) -> FrameBuf {
-        // jitsu-lint: allow(N001, "payloads are MTU-bounded (≤1500 bytes), so header + payload is far below 65536")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "payloads are MTU-bounded (≤1500 bytes), so header + payload is far below 65536"
+        )]
         let total_len = (HEADER_LEN + self.payload.len()) as u16;
         let mut header = [0u8; HEADER_LEN];
         header[0] = 0x45; // version 4, IHL 5

@@ -8,7 +8,7 @@
 
 use super::segment::{TcpFlags, TcpSegment};
 use super::tcb::{Tcb, TcpState};
-use super::{seq_gt, seq_le};
+use super::SeqNum;
 use crate::buf::FrameBuf;
 use crate::ipv4::Ipv4Addr;
 
@@ -34,10 +34,10 @@ impl Listener {
     }
 
     /// Generate the next initial sequence number.
-    fn next_isn(&mut self) -> u32 {
+    fn next_isn(&mut self) -> SeqNum {
         // A simple deterministic ISN schedule (the classic 64k increment).
         self.isn_counter = self.isn_counter.wrapping_add(64_000).wrapping_add(1);
-        self.isn_counter
+        SeqNum(self.isn_counter)
     }
 
     /// Handle an incoming SYN addressed to this listener. Returns the new
@@ -55,8 +55,8 @@ impl Listener {
         let mut tcb =
             Tcb::for_listener(self.local_ip, self.local_port, remote_ip, syn.src_port, isn);
         tcb.state = TcpState::SynReceived;
-        tcb.rcv_nxt = syn.seq.wrapping_add(1);
-        tcb.snd_nxt = isn.wrapping_add(1);
+        tcb.rcv_nxt = syn.seq + 1;
+        tcb.snd_nxt = isn + 1;
         let syn_ack = TcpSegment::control(
             self.local_port,
             syn.src_port,
@@ -114,8 +114,9 @@ impl Connection {
         tcb
     }
 
-    /// Start an active open towards `(remote_ip, remote_port)`. Returns the
-    /// connection (in `SynSent`) and the SYN to transmit.
+    /// Start an active open towards `(remote_ip, remote_port)` with initial
+    /// sequence number `isn`. Returns the connection (in `SynSent`) and the
+    /// SYN to transmit.
     pub fn connect(
         local_ip: Ipv4Addr,
         local_port: u16,
@@ -123,10 +124,11 @@ impl Connection {
         remote_port: u16,
         isn: u32,
     ) -> (Connection, TcpSegment) {
+        let isn = SeqNum(isn);
         let mut tcb = Tcb::for_listener(local_ip, local_port, remote_ip, remote_port, isn);
         tcb.state = TcpState::SynSent;
-        tcb.snd_nxt = isn.wrapping_add(1);
-        let syn = TcpSegment::control(local_port, remote_port, isn, 0, TcpFlags::SYN);
+        tcb.snd_nxt = isn + 1;
+        let syn = TcpSegment::control(local_port, remote_port, isn, SeqNum(0), TcpFlags::SYN);
         (
             Connection {
                 tcb,
@@ -174,7 +176,7 @@ impl Connection {
         match self.tcb.state {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.tcb.snd_nxt {
-                    self.tcb.rcv_nxt = seg.seq.wrapping_add(1);
+                    self.tcb.rcv_nxt = seg.seq + 1;
                     self.tcb.snd_una = seg.ack;
                     self.tcb.state = TcpState::Established;
                     out.push(self.make_ack());
@@ -195,7 +197,7 @@ impl Connection {
                     // Only a *new* cumulative ACK (inside the window of
                     // outstanding data, in wrapping sequence space) advances
                     // snd_una; a stale duplicate ACK must not regress it.
-                    if seq_gt(seg.ack, self.tcb.snd_una) && seq_le(seg.ack, self.tcb.snd_nxt) {
+                    if seg.ack.gt(self.tcb.snd_una) && seg.ack.le(self.tcb.snd_nxt) {
                         self.tcb.snd_una = seg.ack;
                     }
                     if self.tcb.state == TcpState::FinWait1 && seg.ack == self.tcb.snd_nxt {
@@ -207,10 +209,13 @@ impl Connection {
                 }
                 // A FIN occupies the sequence slot *after* any payload in
                 // the same segment.
-                // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
-                let fin_seq = seg.seq.wrapping_add(seg.payload.len() as u32);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "segment payloads are bounded by the u16 wire length field, well within u32"
+                )]
+                let fin_seq = seg.seq + seg.payload.len() as u32;
                 if seg.flags.fin && fin_seq == self.tcb.rcv_nxt {
-                    self.tcb.rcv_nxt = self.tcb.rcv_nxt.wrapping_add(1);
+                    self.tcb.rcv_nxt = self.tcb.rcv_nxt + 1;
                     match self.tcb.state {
                         TcpState::FinWait1 | TcpState::FinWait2 => {
                             self.tcb.state = TcpState::Closed
@@ -234,13 +239,16 @@ impl Connection {
     }
 
     fn accept_data(&mut self, seg: &TcpSegment) -> Vec<TcpSegment> {
-        // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
-        let end = seg.seq.wrapping_add(seg.payload.len() as u32);
-        if seq_le(end, self.tcb.rcv_nxt) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "segment payloads are bounded by the u16 wire length field, well within u32"
+        )]
+        let end = seg.seq + seg.payload.len() as u32;
+        if end.le(self.tcb.rcv_nxt) {
             // Entirely old data (a retransmission): re-ACK, never re-buffer.
             return vec![self.make_ack()];
         }
-        if seq_gt(seg.seq, self.tcb.rcv_nxt) {
+        if seg.seq.gt(self.tcb.rcv_nxt) {
             // A gap before this segment: drop it and re-ACK what we have
             // (the peer retransmits; this stack keeps no reassembly queue).
             return vec![self.make_ack()];
@@ -248,7 +256,7 @@ impl Connection {
         // seq <= rcv_nxt < end (wrapping): accept only the unseen suffix, so
         // a retransmission that partially overlaps delivered data cannot
         // duplicate bytes into the stream.
-        let skip = self.tcb.rcv_nxt.wrapping_sub(seg.seq) as usize;
+        let skip = (self.tcb.rcv_nxt - seg.seq) as usize;
         self.staged.push(seg.payload.slice(skip..));
         self.tcb.rcv_nxt = end;
         vec![self.make_ack()]
@@ -269,7 +277,10 @@ impl Connection {
     /// `&[u8]` arguments are converted on entry.
     pub fn send(&mut self, data: impl Into<FrameBuf>) -> TcpSegment {
         let payload = data.into();
-        // jitsu-lint: allow(N001, "send chunks are MSS-sized, bounded by the u16 wire length field")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "send chunks are MSS-sized, bounded by the u16 wire length field"
+        )]
         let len = payload.len() as u32;
         let seg = TcpSegment {
             src_port: self.tcb.local_port,
@@ -280,7 +291,7 @@ impl Connection {
             window: 65535,
             payload,
         };
-        self.tcb.snd_nxt = self.tcb.snd_nxt.wrapping_add(len);
+        self.tcb.snd_nxt = self.tcb.snd_nxt + len;
         seg
     }
 
@@ -293,7 +304,7 @@ impl Connection {
             self.tcb.rcv_nxt,
             TcpFlags::FIN_ACK,
         );
-        self.tcb.snd_nxt = self.tcb.snd_nxt.wrapping_add(1);
+        self.tcb.snd_nxt = self.tcb.snd_nxt + 1;
         self.tcb.state = match self.tcb.state {
             TcpState::CloseWait => TcpState::LastAck,
             _ => TcpState::FinWait1,
@@ -379,9 +390,9 @@ mod tests {
     #[test]
     fn listener_ignores_non_syn() {
         let mut listener = Listener::new(SERVER_IP, 80, 7);
-        let ack = TcpSegment::control(51000, 80, 5, 5, TcpFlags::ACK);
+        let ack = TcpSegment::control(51000, 80, SeqNum(5), SeqNum(5), TcpFlags::ACK);
         assert!(listener.on_syn(CLIENT_IP, &ack).is_none());
-        let wrong_port = TcpSegment::control(51000, 8080, 5, 0, TcpFlags::SYN);
+        let wrong_port = TcpSegment::control(51000, 8080, SeqNum(5), SeqNum(0), TcpFlags::SYN);
         assert!(listener.on_syn(CLIENT_IP, &wrong_port).is_none());
     }
 
@@ -420,7 +431,7 @@ mod tests {
     #[test]
     fn rst_closes_immediately() {
         let (mut client, _server) = handshake();
-        let rst = TcpSegment::control(80, 51000, 0, 0, TcpFlags::RST);
+        let rst = TcpSegment::control(80, 51000, SeqNum(0), SeqNum(0), TcpFlags::RST);
         let out = client.on_segment(&rst);
         assert!(out.is_empty());
         assert_eq!(client.state(), TcpState::Closed);
@@ -467,7 +478,7 @@ mod tests {
         let (mut client, mut server) = wrapping_handshake(u32::MAX - 4, u32::MAX - 70_000);
         let first = client.send(b"GET / HT");
         server.on_segment(&first);
-        assert!(client.tcb.snd_nxt < client.tcb.isn, "snd_nxt wrapped");
+        assert!(client.tcb.snd_nxt.0 < client.tcb.isn.0, "snd_nxt wrapped");
         let second = client.send(b"TP/1.1\r\n\r\n");
         let acks = server.on_segment(&second);
         assert_eq!(server.take_received(), b"GET / HTTP/1.1\r\n\r\n");
@@ -501,14 +512,14 @@ mod tests {
             ..TcpSegment::control(
                 first.src_port,
                 first.dst_port,
-                first.seq.wrapping_add(2),
+                first.seq + 2,
                 first.ack,
                 TcpFlags::PSH_ACK,
             )
         };
         server.on_segment(&overlap);
         assert_eq!(server.take_received(), b"abcdefgh");
-        assert_eq!(server.tcb.rcv_nxt, first.seq.wrapping_add(8));
+        assert_eq!(server.tcb.rcv_nxt, first.seq + 8);
     }
 
     #[test]
@@ -535,7 +546,7 @@ mod tests {
         let (mut client, mut server) = handshake();
         let mut fin_with_data = client.send(b"last bytes");
         fin_with_data.flags.fin = true;
-        client.tcb.snd_nxt = client.tcb.snd_nxt.wrapping_add(1);
+        client.tcb.snd_nxt = client.tcb.snd_nxt + 1;
         client.tcb.state = TcpState::FinWait1;
         let acks = server.on_segment(&fin_with_data);
         assert_eq!(server.take_received(), b"last bytes");
@@ -546,8 +557,8 @@ mod tests {
     #[test]
     fn listener_isns_differ_between_connections() {
         let mut listener = Listener::new(SERVER_IP, 80, 7);
-        let syn1 = TcpSegment::control(51000, 80, 10, 0, TcpFlags::SYN);
-        let syn2 = TcpSegment::control(51001, 80, 20, 0, TcpFlags::SYN);
+        let syn1 = TcpSegment::control(51000, 80, SeqNum(10), SeqNum(0), TcpFlags::SYN);
+        let syn2 = TcpSegment::control(51001, 80, SeqNum(20), SeqNum(0), TcpFlags::SYN);
         let (c1, sa1) = listener.on_syn(CLIENT_IP, &syn1).unwrap();
         let (c2, sa2) = listener.on_syn(CLIENT_IP, &syn2).unwrap();
         assert_ne!(sa1.seq, sa2.seq);

@@ -10,6 +10,8 @@
 //! accepted by one stack instance (the proxy) can be continued by another
 //! (the unikernel).
 
+use std::ops::{Add, Sub};
+
 pub mod conn;
 pub mod segment;
 pub mod tcb;
@@ -18,55 +20,94 @@ pub use conn::{Connection, Listener};
 pub use segment::{TcpFlags, TcpSegment};
 pub use tcb::{Tcb, TcpState};
 
-/// `a < b` in 32-bit sequence space (RFC 1982 / RFC 793 serial arithmetic).
+/// A TCP sequence number: a point on the 2^32 circle (RFC 793 serial
+/// arithmetic, RFC 1982).
 ///
-/// Sequence numbers live on a circle: `a` is "before" `b` when the signed
-/// distance from `a` to `b` is positive, which stays correct when the
-/// counters wrap past `2^32`. Plain `<` on `u32` misclassifies exactly at
-/// the wrap — a connection whose ISN sits near `u32::MAX` would treat every
-/// post-wrap segment as ancient.
-pub fn seq_lt(a: u32, b: u32) -> bool {
-    (a.wrapping_sub(b) as i32) < 0
+/// `a` is "before" `b` when the signed distance from `a` to `b` is
+/// positive, which stays correct when the counters wrap past `2^32`. Plain
+/// `<` on the raw `u32` misclassifies exactly at the wrap — a connection
+/// whose ISN sits near `u32::MAX` would treat every post-wrap segment as
+/// ancient — so the type has no `PartialOrd`/`Ord` and offers
+/// [`SeqNum::lt`] and friends instead. Arithmetic wraps: `SeqNum + u32`
+/// advances, `SeqNum - SeqNum` is the forward distance.
+///
+/// ```
+/// use netstack::tcp::SeqNum;
+/// let (a, b) = (SeqNum(u32::MAX), SeqNum(u32::MAX) + 2);
+/// assert!(a.lt(b) && b - a == 2);
+/// ```
+///
+/// The same comparison spelled with `<` does not compile:
+///
+/// ```compile_fail
+/// use netstack::tcp::SeqNum;
+/// let (a, b) = (SeqNum(u32::MAX), SeqNum(u32::MAX) + 2);
+/// assert!(a < b);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeqNum(pub u32);
+
+impl SeqNum {
+    /// `self < other` in sequence space.
+    pub fn lt(self, other: SeqNum) -> bool {
+        (self.0.wrapping_sub(other.0) as i32) < 0
+    }
+
+    /// `self <= other` in sequence space.
+    pub fn le(self, other: SeqNum) -> bool {
+        self == other || self.lt(other)
+    }
+
+    /// `self > other` in sequence space.
+    pub fn gt(self, other: SeqNum) -> bool {
+        other.lt(self)
+    }
+
+    /// `self >= other` in sequence space.
+    pub fn ge(self, other: SeqNum) -> bool {
+        other.le(self)
+    }
 }
 
-/// `a <= b` in sequence space.
-pub fn seq_le(a: u32, b: u32) -> bool {
-    a == b || seq_lt(a, b)
+impl Add<u32> for SeqNum {
+    type Output = SeqNum;
+
+    fn add(self, len: u32) -> SeqNum {
+        SeqNum(self.0.wrapping_add(len))
+    }
 }
 
-/// `a > b` in sequence space.
-pub fn seq_gt(a: u32, b: u32) -> bool {
-    seq_lt(b, a)
-}
+impl Sub for SeqNum {
+    type Output = u32;
 
-/// `a >= b` in sequence space.
-pub fn seq_ge(a: u32, b: u32) -> bool {
-    seq_le(b, a)
+    fn sub(self, earlier: SeqNum) -> u32 {
+        self.0.wrapping_sub(earlier.0)
+    }
 }
 
 #[cfg(test)]
 mod seq_tests {
-    use super::*;
+    use super::SeqNum;
 
     #[test]
     fn ordering_within_a_window_ignores_the_wrap() {
         // 100 < 200 the obvious way…
-        assert!(seq_lt(100, 200));
-        assert!(seq_gt(200, 100));
+        assert!(SeqNum(100).lt(SeqNum(200)));
+        assert!(SeqNum(200).gt(SeqNum(100)));
         // …and across the 2^32 boundary.
-        assert!(seq_lt(u32::MAX - 5, 3));
-        assert!(seq_gt(3, u32::MAX - 5));
-        assert!(seq_ge(3, u32::MAX - 5));
-        assert!(seq_le(u32::MAX, 0));
+        assert!(SeqNum(u32::MAX - 5).lt(SeqNum(3)));
+        assert!(SeqNum(3).gt(SeqNum(u32::MAX - 5)));
+        assert!(SeqNum(3).ge(SeqNum(u32::MAX - 5)));
+        assert!(SeqNum(u32::MAX).le(SeqNum(0)));
     }
 
     #[test]
     fn equality_is_neither_lt_nor_gt() {
-        for x in [0u32, 1, u32::MAX, 0x8000_0000] {
-            assert!(!seq_lt(x, x));
-            assert!(!seq_gt(x, x));
-            assert!(seq_le(x, x));
-            assert!(seq_ge(x, x));
+        for x in [0u32, 1, u32::MAX, 0x8000_0000].map(SeqNum) {
+            assert!(!x.lt(x));
+            assert!(!x.gt(x));
+            assert!(x.le(x));
+            assert!(x.ge(x));
         }
     }
 
@@ -78,9 +119,10 @@ mod seq_tests {
             (u32::MAX - 1000, 5000),
             (0x7fff_0000, 0x0001_0000),
         ] {
-            let b = a.wrapping_add(d);
-            assert!(seq_lt(a, b), "{a} < {a}+{d}");
-            assert!(!seq_lt(b, a));
+            let (a, b) = (SeqNum(a), SeqNum(a) + d);
+            assert!(a.lt(b), "{a:?} < {a:?}+{d}");
+            assert!(!b.lt(a));
+            assert_eq!(b - a, d);
         }
     }
 }

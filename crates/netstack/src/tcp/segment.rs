@@ -1,5 +1,6 @@
 //! TCP segment parsing and construction.
 
+use super::SeqNum;
 use crate::buf::FrameBuf;
 use crate::checksum;
 use crate::ipv4::Ipv4Addr;
@@ -102,9 +103,9 @@ pub struct TcpSegment {
     /// Destination port.
     pub dst_port: u16,
     /// Sequence number of the first payload byte (or of the SYN/FIN).
-    pub seq: u32,
+    pub seq: SeqNum,
     /// Acknowledgement number (valid when `flags.ack`).
-    pub ack: u32,
+    pub ack: SeqNum,
     /// Header flags.
     pub flags: TcpFlags,
     /// Advertised receive window.
@@ -118,8 +119,8 @@ impl TcpSegment {
     pub fn control(
         src_port: u16,
         dst_port: u16,
-        seq: u32,
-        ack: u32,
+        seq: SeqNum,
+        ack: SeqNum,
         flags: TcpFlags,
     ) -> TcpSegment {
         TcpSegment {
@@ -136,8 +137,12 @@ impl TcpSegment {
     /// The amount of sequence space this segment occupies (payload plus one
     /// for SYN and one for FIN).
     pub fn seq_len(&self) -> u32 {
-        // jitsu-lint: allow(N001, "segment payloads are bounded by the u16 wire length field, well within u32")
-        self.payload.len() as u32 + u32::from(self.flags.syn) + u32::from(self.flags.fin)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "segment payloads are bounded by the u16 wire length field, well within u32"
+        )]
+        let payload = self.payload.len() as u32;
+        payload + u32::from(self.flags.syn) + u32::from(self.flags.fin)
     }
 
     /// Parse and verify from wire bytes. The payload is an O(1) view
@@ -157,7 +162,10 @@ impl TcpSegment {
                 what: format!("bad data offset {data_offset}"),
             });
         }
-        // jitsu-lint: allow(N001, "buf is an IPv4 payload, itself bounded by the datagram's u16 total-length field")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "buf is an IPv4 payload, itself bounded by the datagram's u16 total-length field"
+        )]
         let ph = checksum::pseudo_header(src.0, dst.0, 6, buf.len() as u16);
         if checksum::finish(checksum::partial(ph, buf)) != 0 {
             return Err(NetError::BadChecksum("tcp"));
@@ -165,8 +173,8 @@ impl TcpSegment {
         Ok(TcpSegment {
             src_port: u16::from_be_bytes([buf[0], buf[1]]),
             dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            seq: u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]),
-            ack: u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]),
+            seq: SeqNum(u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]])),
+            ack: SeqNum(u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]])),
             flags: TcpFlags::from_bits(buf[13]),
             window: u16::from_be_bytes([buf[14], buf[15]]),
             payload: buf.slice(data_offset..),
@@ -179,13 +187,21 @@ impl TcpSegment {
         let mut out = vec![0u8; len];
         out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        out[12] = ((HEADER_LEN / 4) as u8) << 4;
+        out[4..8].copy_from_slice(&self.seq.0.to_be_bytes());
+        out[8..12].copy_from_slice(&self.ack.0.to_be_bytes());
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "HEADER_LEN / 4 is the constant 5: the data offset of an option-less header"
+        )]
+        let data_offset_words = (HEADER_LEN / 4) as u8;
+        out[12] = data_offset_words << 4;
         out[13] = self.flags.to_bits();
         out[14..16].copy_from_slice(&self.window.to_be_bytes());
         out[HEADER_LEN..].copy_from_slice(&self.payload);
-        // jitsu-lint: allow(N001, "emitted segments are MTU-bounded (≤1500 bytes), far below 65536")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "emitted segments are MTU-bounded (≤1500 bytes), far below 65536"
+        )]
         let ph = checksum::pseudo_header(src.0, dst.0, 6, len as u16);
         let c = checksum::finish(checksum::partial(ph, &out));
         out[16..18].copy_from_slice(&c.to_be_bytes());
@@ -221,8 +237,8 @@ mod tests {
         let seg = TcpSegment {
             src_port: 51000,
             dst_port: 80,
-            seq: 0x1234_5678,
-            ack: 0x8765_4321,
+            seq: SeqNum(0x1234_5678),
+            ack: SeqNum(0x8765_4321),
             flags: TcpFlags::PSH_ACK,
             window: 29200,
             payload: FrameBuf::copy_from_slice(b"GET / HTTP/1.1\r\n\r\n"),
@@ -235,7 +251,7 @@ mod tests {
 
     #[test]
     fn checksum_binds_addresses() {
-        let seg = TcpSegment::control(1, 2, 3, 4, TcpFlags::SYN);
+        let seg = TcpSegment::control(1, 2, SeqNum(3), SeqNum(4), TcpFlags::SYN);
         let bytes = seg.emit(SRC, DST);
         assert!(TcpSegment::parse(&bytes, SRC, DST).is_ok());
         assert_eq!(
@@ -248,7 +264,7 @@ mod tests {
     fn corrupted_payload_detected() {
         let seg = TcpSegment {
             payload: FrameBuf::copy_from_slice(b"data"),
-            ..TcpSegment::control(1, 2, 3, 4, TcpFlags::PSH_ACK)
+            ..TcpSegment::control(1, 2, SeqNum(3), SeqNum(4), TcpFlags::PSH_ACK)
         };
         let mut bytes = seg.emit(SRC, DST).to_vec();
         let last = bytes.len() - 1;
@@ -261,16 +277,16 @@ mod tests {
 
     #[test]
     fn seq_len_counts_syn_and_fin() {
-        let syn = TcpSegment::control(1, 2, 100, 0, TcpFlags::SYN);
+        let syn = TcpSegment::control(1, 2, SeqNum(100), SeqNum(0), TcpFlags::SYN);
         assert_eq!(syn.seq_len(), 1);
-        let fin = TcpSegment::control(1, 2, 100, 0, TcpFlags::FIN_ACK);
+        let fin = TcpSegment::control(1, 2, SeqNum(100), SeqNum(0), TcpFlags::FIN_ACK);
         assert_eq!(fin.seq_len(), 1);
         let data = TcpSegment {
             payload: vec![0; 10].into(),
-            ..TcpSegment::control(1, 2, 100, 0, TcpFlags::ACK)
+            ..TcpSegment::control(1, 2, SeqNum(100), SeqNum(0), TcpFlags::ACK)
         };
         assert_eq!(data.seq_len(), 10);
-        let ack = TcpSegment::control(1, 2, 100, 0, TcpFlags::ACK);
+        let ack = TcpSegment::control(1, 2, SeqNum(100), SeqNum(0), TcpFlags::ACK);
         assert_eq!(ack.seq_len(), 0);
     }
 
@@ -280,7 +296,7 @@ mod tests {
             TcpSegment::parse(&FrameBuf::copy_from_slice(&[0; 10]), SRC, DST),
             Err(NetError::Truncated { .. })
         ));
-        let seg = TcpSegment::control(1, 2, 3, 4, TcpFlags::ACK);
+        let seg = TcpSegment::control(1, 2, SeqNum(3), SeqNum(4), TcpFlags::ACK);
         let mut bytes = seg.emit(SRC, DST).to_vec();
         bytes[12] = 0x30; // data offset 12 bytes < 20
         assert!(matches!(

@@ -7,6 +7,7 @@
 //! that format so the proxy and the unikernel exchange connection state as
 //! plain store values, exactly as the paper describes.
 
+use super::SeqNum;
 use crate::ipv4::Ipv4Addr;
 
 /// TCP connection states (the subset the reproduction exercises).
@@ -79,13 +80,13 @@ pub struct Tcb {
     /// Remote (client) port.
     pub remote_port: u16,
     /// Initial send sequence number chosen by this end.
-    pub isn: u32,
+    pub isn: SeqNum,
     /// Next sequence number this end will send.
-    pub snd_nxt: u32,
+    pub snd_nxt: SeqNum,
     /// Highest cumulative acknowledgement received from the peer.
-    pub snd_una: u32,
+    pub snd_una: SeqNum,
     /// Next sequence number expected from the peer.
-    pub rcv_nxt: u32,
+    pub rcv_nxt: SeqNum,
     /// Application data received in order but not yet consumed. For a
     /// Synjitsu-proxied connection this is the buffered request bytes the
     /// unikernel replays after the handoff.
@@ -99,7 +100,7 @@ impl Tcb {
         local_port: u16,
         remote_ip: Ipv4Addr,
         remote_port: u16,
-        isn: u32,
+        isn: SeqNum,
     ) -> Tcb {
         Tcb {
             state: TcpState::Listen,
@@ -110,7 +111,7 @@ impl Tcb {
             isn,
             snd_nxt: isn,
             snd_una: isn,
-            rcv_nxt: 0,
+            rcv_nxt: SeqNum(0),
             buffered: Vec::new(),
         }
     }
@@ -135,10 +136,10 @@ impl Tcb {
             self.local_port,
             self.remote_ip,
             self.remote_port,
-            self.isn,
-            self.snd_nxt,
-            self.snd_una,
-            self.rcv_nxt,
+            self.isn.0,
+            self.snd_nxt.0,
+            self.snd_una.0,
+            self.rcv_nxt.0,
             hex_encode(&self.buffered),
         )
     }
@@ -157,10 +158,10 @@ impl Tcb {
             local_port: field("src-port")?.parse().ok()?,
             remote_ip: Ipv4Addr::parse(&field("dst")?)?,
             remote_port: field("dst-port")?.parse().ok()?,
-            isn: field("isn")?.parse().ok()?,
-            snd_nxt: field("snd-nxt")?.parse().ok()?,
-            snd_una: field("snd-una")?.parse().ok()?,
-            rcv_nxt: field("rcv-nxt")?.parse().ok()?,
+            isn: SeqNum(field("isn")?.parse().ok()?),
+            snd_nxt: SeqNum(field("snd-nxt")?.parse().ok()?),
+            snd_una: SeqNum(field("snd-una")?.parse().ok()?),
+            rcv_nxt: SeqNum(field("rcv-nxt")?.parse().ok()?),
             buffered: hex_decode(&field("packets")?)?,
         })
     }
@@ -201,10 +202,10 @@ mod tests {
             local_port: 80,
             remote_ip: Ipv4Addr::new(192, 168, 1, 100),
             remote_port: 51324,
-            isn: 1_000_000,
-            snd_nxt: 1_000_001,
-            snd_una: 1_000_001,
-            rcv_nxt: 42_424_243,
+            isn: SeqNum(1_000_000),
+            snd_nxt: SeqNum(1_000_001),
+            snd_una: SeqNum(1_000_001),
+            rcv_nxt: SeqNum(42_424_243),
             buffered: b"GET / HTTP/1.1\r\nHost: alice\r\n\r\n".to_vec(),
         }
     }
@@ -234,6 +235,7 @@ mod tests {
         assert!(s.contains("(state ESTABLISHED)"));
         assert!(s.contains("(src 192.168.1.20)"));
         assert!(s.contains("(dst-port 51324)"));
+        assert!(s.contains("(isn 1000000)(snd-nxt 1000001)(snd-una 1000001)(rcv-nxt 42424243)"));
         let parsed = Tcb::from_sexp(&s).unwrap();
         assert_eq!(parsed, tcb);
     }
@@ -274,10 +276,10 @@ mod tests {
             80,
             Ipv4Addr::new(10, 0, 0, 9),
             4000,
-            999,
+            SeqNum(999),
         );
         assert_eq!(t.state, TcpState::Listen);
-        assert_eq!(t.snd_nxt, 999);
+        assert_eq!(t.snd_nxt, SeqNum(999));
         assert_eq!(
             t.four_tuple(),
             (

@@ -51,7 +51,10 @@ impl UdpDatagram {
         }
         let wire_checksum = u16::from_be_bytes([buf[6], buf[7]]);
         if wire_checksum != 0 {
-            // jitsu-lint: allow(N001, "length was decoded from the datagram's u16 length field just above")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "length was decoded from the datagram's u16 length field just above"
+            )]
             let ph = checksum::pseudo_header(src.0, dst.0, 17, length as u16);
             if checksum::finish(checksum::partial(ph, &buf[..length])) != 0 {
                 return Err(NetError::BadChecksum("udp"));
@@ -66,7 +69,10 @@ impl UdpDatagram {
 
     /// Serialise with a checksum computed over the IPv4 pseudo-header.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> FrameBuf {
-        // jitsu-lint: allow(N001, "payloads are MTU-bounded (≤1500 bytes), so header + payload is far below 65536")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "payloads are MTU-bounded (≤1500 bytes), so header + payload is far below 65536"
+        )]
         let length = (HEADER_LEN + self.payload.len()) as u16;
         let mut out = vec![0u8; length as usize];
         out[0..2].copy_from_slice(&self.src_port.to_be_bytes());

@@ -13,7 +13,6 @@
 //! 10 MB/s SD card, Table 1's wattages); they are data, not measurements of
 //! the host this code runs on.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod battery;

@@ -16,7 +16,6 @@
 //! applicability from a CVE's properties, and the test suite checks the
 //! derivation against the published table.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cve;

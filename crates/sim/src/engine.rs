@@ -245,8 +245,11 @@ impl<W> Sim<W> {
                 debug_assert!(at >= self.now, "event queue went backwards");
                 self.now = at;
                 self.executed += 1;
+                #[expect(
+                    clippy::panic,
+                    reason = "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort"
+                )]
                 if self.executed > self.event_limit {
-                    // jitsu-lint: allow(P001, "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort")
                     panic!(
                         "simulation exceeded event limit of {} events (possible livelock)",
                         self.event_limit

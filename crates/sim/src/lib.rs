@@ -34,8 +34,15 @@
 //! assert_eq!(sim.now().as_millis(), 5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A sim-logic crate: outside tests, no panics or discarded `Result`s
+// without a reasoned `#[expect]` (README, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 
 pub mod dist;
 pub mod engine;

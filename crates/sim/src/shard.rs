@@ -25,8 +25,8 @@
 //!    per-destination sequence numbers in that canonical order.
 //!
 //! Sharding here is *deterministic scheduling*, not threading: the engine
-//! stays single-threaded and the D004 lint (no threads/locks in sim logic)
-//! keeps applying. What sharding buys is per-domain queues (cheaper heap
+//! stays single-threaded and clippy.toml's ban on threads and locks keeps
+//! applying. What sharding buys is per-domain queues (cheaper heap
 //! operations than one global queue) and, because shards only interact at
 //! barriers, a future parallel executor could run shards on OS threads
 //! without changing a single observable bit — that executor would live
@@ -345,8 +345,11 @@ impl<D: Domain> ShardedSim<D> {
                         dom.now = dom.now.max(at);
                         dom.executed += 1;
                         self.executed += 1;
+                        #[expect(
+                            clippy::panic,
+                            reason = "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort"
+                        )]
                         if self.executed > self.event_limit {
-                            // jitsu-lint: allow(P001, "livelock tripwire: exceeding the event limit means the experiment is unsound and must abort")
                             panic!(
                                 "sharded simulation exceeded event limit of {} events (possible livelock)",
                                 self.event_limit

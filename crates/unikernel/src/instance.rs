@@ -189,7 +189,7 @@ mod tests {
     use netstack::ethernet::EthernetFrame;
     use netstack::http::HttpResponse;
     use netstack::ipv4::Ipv4Packet;
-    use netstack::tcp::TcpSegment;
+    use netstack::tcp::{SeqNum, TcpSegment};
     use platform::BoardKind;
 
     const SERVER_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 0x20]);
@@ -299,10 +299,10 @@ mod tests {
             local_port: 80,
             remote_ip: CLIENT_IP,
             remote_port: 51000,
-            isn: 7_000,
-            snd_nxt: 7_001,
-            snd_una: 7_001,
-            rcv_nxt: 90_000 + request_bytes.len() as u32,
+            isn: SeqNum(7_000),
+            snd_nxt: SeqNum(7_001),
+            snd_una: SeqNum(7_001),
+            rcv_nxt: SeqNum(90_000) + request_bytes.len() as u32,
             buffered: request_bytes.to_vec(),
         };
         let mut server = instance();
@@ -336,10 +336,10 @@ mod tests {
             local_port: 80,
             remote_ip: CLIENT_IP,
             remote_port: 51000,
-            isn: 1,
-            snd_nxt: 2,
-            snd_una: 2,
-            rcv_nxt: 100,
+            isn: SeqNum(1),
+            snd_nxt: SeqNum(2),
+            snd_una: SeqNum(2),
+            rcv_nxt: SeqNum(100),
             buffered: Vec::new(),
         };
         let mut server = instance();

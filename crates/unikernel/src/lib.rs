@@ -19,8 +19,15 @@
 //!   appliance, fed Ethernet frames and producing response frames, with
 //!   support for adopting proxied TCP connections from Synjitsu.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A sim-logic crate: outside tests, no panics or discarded `Result`s
+// without a reasoned `#[expect]` (README, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 
 pub mod appliance;
 pub mod boot;

@@ -163,9 +163,12 @@ impl Bridge {
                 None => true,
             };
             if deliver {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "port ids come from the ports map being iterated"
+                )]
                 self.ports
                     .get_mut(&port)
-                    // jitsu-lint: allow(P001, "port ids come from the ports map being iterated")
                     .expect("iterating known ports")
                     .rx_queue
                     .push_back(frame.to_vec());

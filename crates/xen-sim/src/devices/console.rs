@@ -37,9 +37,12 @@ impl ConsoleDevice {
         evtchn: &mut EventChannelTable,
         dom: DomId,
     ) -> XsResult<ConsoleDevice> {
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
         let ring_ref = grants
             .grant(dom, DomId::DOM0, false)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("fresh domain has grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
         let dir = frontend_path(dom, DeviceKind::Console, 0);

@@ -42,9 +42,12 @@ impl VbdDevice {
         index: u32,
         backing: StorageDevice,
     ) -> XsResult<VbdDevice> {
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
         let ring = grants
             .grant(dom, DomId::DOM0, false)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
         let fe = frontend_path(dom, DeviceKind::Vbd, index);

@@ -61,13 +61,19 @@ impl VifDevice {
         index: u32,
     ) -> XsResult<VifDevice> {
         let mac = Self::mac_for(dom, index);
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
         let tx_ring = grants
             .grant(dom, DomId::DOM0, false)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
+        #[expect(
+            clippy::expect_used,
+            reason = "a freshly built domain starts under its grant quota"
+        )]
         let rx_ring = grants
             .grant(dom, DomId::DOM0, false)
-            // jitsu-lint: allow(P001, "a freshly built domain starts under its grant quota")
             .expect("grant capacity");
         let port = evtchn.alloc_unbound(dom, DomId::DOM0);
 
@@ -127,17 +133,26 @@ impl VifDevice {
         evtchn: &mut EventChannelTable,
         bridge: &mut Bridge,
     ) -> XsResult<()> {
+        #[expect(
+            clippy::expect_used,
+            reason = "the frontend granted these pages to the backend at setup"
+        )]
         grants
             .map(self.dom, self.tx_ring, DomId::DOM0)
-            // jitsu-lint: allow(P001, "the frontend granted these pages to the backend at setup")
             .expect("backend may map frontend ring");
+        #[expect(
+            clippy::expect_used,
+            reason = "the frontend granted these pages to the backend at setup"
+        )]
         grants
             .map(self.dom, self.rx_ring, DomId::DOM0)
-            // jitsu-lint: allow(P001, "the frontend granted these pages to the backend at setup")
             .expect("backend may map frontend ring");
+        #[expect(
+            clippy::expect_used,
+            reason = "the port was allocated unbound on the previous lines"
+        )]
         let _backend_port = evtchn
             .bind_interdomain(DomId::DOM0, self.dom, self.port)
-            // jitsu-lint: allow(P001, "the port was allocated unbound on the previous lines")
             .expect("unbound port is bindable");
         let port = bridge.attach(format!("vif{}.{}", self.dom.0, self.index));
         self.bridge_port = Some(port);
@@ -177,7 +192,10 @@ impl VifDevice {
     /// mark both ends closed.
     pub fn close(&mut self, xs: &mut XenStore, bridge: &mut Bridge) -> XsResult<()> {
         if let Some(port) = self.bridge_port.take() {
-            // jitsu-lint: allow(R001, "shutdown is best-effort: the bridge may have dropped the port already")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "shutdown is best-effort: the bridge may have dropped the port already"
+            )]
             let _ = bridge.detach(port);
         }
         let fe = frontend_path(self.dom, DeviceKind::Vif, self.index);

@@ -106,10 +106,10 @@ impl EventChannelTable {
                 masked: false,
             },
         );
+        #[expect(clippy::expect_used, reason = "presence checked by the lookup above")]
         let remote_chan = self
             .channels
             .get_mut(&(remote, remote_port))
-            // jitsu-lint: allow(P001, "presence checked by the lookup above")
             .expect("looked up above");
         remote_chan.state = ChannelState::Interdomain {
             peer: local,
@@ -198,6 +198,10 @@ impl EventChannelTable {
             .map(|(_, p)| *p)
             .collect();
         for port in ports {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "every port was just listed from `channels`, so `close` cannot report BadPort"
+            )]
             let _ = self.close(dom, port);
         }
         self.channels.retain(|(d, _), _| *d != dom);

@@ -30,8 +30,15 @@
 //! real [`xenstore::XenStore`] so the toolstack code paths are genuinely
 //! exercised rather than stubbed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A sim-logic crate: outside tests, no panics or discarded `Result`s
+// without a reasoned `#[expect]` (README, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use
+)]
 
 pub mod bridge;
 pub mod devices;

@@ -406,9 +406,12 @@ impl Toolstack {
         };
         let total = coordination + serial_paths + console_attach;
 
+        #[expect(
+            clippy::expect_used,
+            reason = "Built -> Paused is a legal lifecycle transition by construction"
+        )]
         domain
             .transition(DomainState::Paused)
-            // jitsu-lint: allow(P001, "Built -> Paused is a legal lifecycle transition by construction")
             .expect("Built -> Paused is legal");
         self.domains.insert(dom, domain);
         self.tracer.emit(
@@ -457,9 +460,16 @@ impl Toolstack {
             .domains
             .remove(&dom)
             .ok_or(ToolstackError::UnknownDomain(dom))?;
-        // jitsu-lint: allow(R001, "destroy forces the terminal state; an invalid-transition error must not abort teardown")
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "destroy forces the terminal state; an invalid-transition error must not abort teardown"
+        )]
         let _ = d.transition(DomainState::Destroyed);
         if let Some(mut vif) = self.vifs.remove(&dom) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a vif whose XenStore state cannot be written must not stop destroy from releasing the domain's memory, grants and ports"
+            )]
             let _ = vif.close(&mut self.xenstore, &mut self.bridge);
         }
         self.consoles.remove(&dom);

@@ -47,8 +47,17 @@
 //! assert_eq!(xs.read(dom0, None, "/conduit/http_server").unwrap(), b"3");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A sim-logic crate that encodes wire formats: outside tests, no panics,
+// discarded `Result`s or unchecked narrowing casts without a reasoned
+// `#[expect]` (README, "Static analysis").
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::cast_possible_truncation
+)]
 
 pub mod engine;
 pub mod error;

@@ -116,9 +116,9 @@ impl XenStore {
         let tree = Tree::new();
         // Seed the incremental ownership counts with the pre-existing root
         // node; everything else flows in through structural diffs.
+        #[expect(clippy::expect_used, reason = "Tree::new always creates a root node")]
         let root_owner = tree
             .get(&Path::root())
-            // jitsu-lint: allow(P001, "Tree::new always creates a root node")
             .expect("new tree has a root")
             .perms
             .owner();
@@ -199,15 +199,21 @@ impl XenStore {
             *delta.entry(owner.0).or_insert(0) -= 1;
         }
         for path in &diff.perms_changed {
+            #[expect(
+                clippy::expect_used,
+                reason = "the diff reported this path, so the pre-merge tree holds it"
+            )]
             let old_owner = old
                 .get(path)
-                // jitsu-lint: allow(P001, "the diff reported this path, so the pre-merge tree holds it")
                 .expect("perms-changed node existed")
                 .perms
                 .owner();
+            #[expect(
+                clippy::expect_used,
+                reason = "the diff reported this path, so the merged tree holds it"
+            )]
             let new_owner = new
                 .get(path)
-                // jitsu-lint: allow(P001, "the diff reported this path, so the merged tree holds it")
                 .expect("perms-changed node exists")
                 .perms
                 .owner();
@@ -525,6 +531,10 @@ impl XenStore {
             attempts += 1;
             let tx = self.transaction_start(dom)?;
             if let Err(e) = body(self, tx) {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the body's error is the one to report; aborting the transaction this loop just opened only drops its staged writes"
+                )]
                 let _ = self.transaction_end(dom, tx, false);
                 return Err(e);
             }
@@ -545,7 +555,10 @@ impl XenStore {
         let home = Path::domain_home(dom.0);
         if self.tree.exists(&home) {
             let before = self.tree.clone();
-            // jitsu-lint: allow(R001, "existence was checked just above; a failed rm only skips optional cleanup of the home dir")
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "existence was checked just above; a failed rm only skips optional cleanup of the home dir"
+            )]
             let _ = self.tree.rm(DomId::DOM0, &home);
             let diff = Tree::diff(&before, &self.tree);
             self.settle(&diff, &before, true, None);

@@ -281,17 +281,23 @@ impl Transaction {
             if is_creation && live.exists(path) {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the diff enumerates paths present in the snapshot"
+            )]
             let node = self
                 .snapshot
                 .get(path)
-                // jitsu-lint: allow(P001, "the diff enumerates paths present in the snapshot")
                 .expect("diff path exists in snapshot");
             live.write(self.dom, path, &node.value)?;
             // Fresh nodes (including value-changed nodes recreated after a
             // concurrent removal) carry whatever permissions the creation
             // rules derive; restamp the snapshot's if they differ, so e.g.
             // guest ownership survives a dom0 rewrite.
-            // jitsu-lint: allow(P001, "the path was written into the live tree on the previous line")
+            #[expect(
+                clippy::expect_used,
+                reason = "the path was written into the live tree on the previous line"
+            )]
             let live_perms = &live.get(path).expect("just written").perms;
             if *live_perms != node.perms {
                 live.set_perms(self.dom, path, node.perms.clone())?;
@@ -306,10 +312,13 @@ impl Transaction {
             if diff.value_changed.binary_search(path).is_ok() || !live.exists(path) {
                 continue;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the diff enumerates paths present in the snapshot"
+            )]
             let node = self
                 .snapshot
                 .get(path)
-                // jitsu-lint: allow(P001, "the diff enumerates paths present in the snapshot")
                 .expect("diff path exists in snapshot");
             live.set_perms(self.dom, path, node.perms.clone())?;
         }

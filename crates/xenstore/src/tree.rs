@@ -205,21 +205,30 @@ impl Tree {
     /// Read a node's value.
     pub fn read(&self, dom: DomId, path: &Path) -> Result<Vec<u8>> {
         self.check(dom, path, Access::Read)?;
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
+        #[expect(
+            clippy::expect_used,
+            reason = "presence checked by the exists guard above"
+        )]
         Ok(self.get(path).expect("checked above").value.clone())
     }
 
     /// List a node's children (sorted).
     pub fn directory(&self, dom: DomId, path: &Path) -> Result<Vec<String>> {
         self.check(dom, path, Access::Read)?;
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
+        #[expect(
+            clippy::expect_used,
+            reason = "presence checked by the exists guard above"
+        )]
         Ok(self.get(path).expect("checked above").child_names())
     }
 
     /// Read a node's permissions.
     pub fn get_perms(&self, dom: DomId, path: &Path) -> Result<Permissions> {
         self.check(dom, path, Access::Read)?;
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
+        #[expect(
+            clippy::expect_used,
+            reason = "presence checked by the exists guard above"
+        )]
         Ok(self.get(path).expect("checked above").perms.clone())
     }
 
@@ -232,7 +241,10 @@ impl Tree {
             return Err(Error::PermissionDenied(path.to_string()));
         }
         let gen = self.bump();
-        // jitsu-lint: allow(P001, "presence checked by the exists guard above")
+        #[expect(
+            clippy::expect_used,
+            reason = "presence checked by the exists guard above"
+        )]
         let node = self.get_mut(path).expect("checked above");
         node.perms = perms;
         node.modified_gen = gen;
@@ -270,14 +282,20 @@ impl Tree {
         // Skip the root (always exists) and the final element (the target).
         for p in &ancestors[..ancestors.len().saturating_sub(1)] {
             if !self.exists(p) {
-                // jitsu-lint: allow(P001, "the loop skips the root, so every ancestor has a parent")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop skips the root, so every ancestor has a parent"
+                )]
                 let parent = p.parent().expect("non-root ancestor has a parent");
                 let perms = self.new_child_perms(dom, &parent)?;
                 let gen = self.bump();
-                // jitsu-lint: allow(P001, "ensure_parents created this ancestor just above")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "ensure_parents created this ancestor just above"
+                )]
                 let parent_node = self.get_mut(&parent).expect("parent exists");
+                #[expect(clippy::expect_used, reason = "non-root paths always have a basename")]
                 parent_node.children.insert(
-                    // jitsu-lint: allow(P001, "non-root paths always have a basename")
                     p.basename().expect("non-root").to_string(),
                     Arc::new(Node::new(perms, gen)),
                 );
@@ -301,23 +319,32 @@ impl Tree {
         if self.exists(path) {
             self.check(dom, path, Access::Write)?;
             let gen = self.bump();
-            // jitsu-lint: allow(P001, "presence checked by the exists guard above")
+            #[expect(
+                clippy::expect_used,
+                reason = "presence checked by the exists guard above"
+            )]
             let node = self.get_mut(path).expect("checked above");
             node.value = value.to_vec();
             node.modified_gen = gen;
             return Ok(());
         }
         self.ensure_parents(dom, path)?;
-        // jitsu-lint: allow(P001, "write rejects the root path before this point")
+        #[expect(
+            clippy::expect_used,
+            reason = "write rejects the root path before this point"
+        )]
         let parent = path.parent().expect("non-root");
         let perms = self.new_child_perms(dom, &parent)?;
         let gen = self.bump();
-        // jitsu-lint: allow(P001, "ensure_parents created the parent spine")
+        #[expect(
+            clippy::expect_used,
+            reason = "ensure_parents created the parent spine"
+        )]
         let parent_node = self.get_mut(&parent).expect("parents ensured");
         let mut node = Node::new(perms, gen);
         node.value = value.to_vec();
+        #[expect(clippy::expect_used, reason = "non-root paths always have a basename")]
         parent_node.children.insert(
-            // jitsu-lint: allow(P001, "non-root paths always have a basename")
             path.basename().expect("non-root").to_string(),
             Arc::new(node),
         );
@@ -347,14 +374,20 @@ impl Tree {
             return Err(Error::NoEntry(path.to_string()));
         }
         self.check(dom, path, Access::Write)?;
-        // jitsu-lint: allow(P001, "rm rejects the root path before this point")
+        #[expect(
+            clippy::expect_used,
+            reason = "rm rejects the root path before this point"
+        )]
         let parent = path.parent().expect("non-root");
         let gen = self.bump();
-        // jitsu-lint: allow(P001, "the child was found, so its parent is present")
+        #[expect(
+            clippy::expect_used,
+            reason = "the child was found, so its parent is present"
+        )]
         let parent_node = self.get_mut(&parent).expect("child exists so parent does");
+        #[expect(clippy::expect_used, reason = "non-root paths always have a basename")]
         parent_node
             .children
-            // jitsu-lint: allow(P001, "non-root paths always have a basename")
             .remove(path.basename().expect("non-root"));
         parent_node.children_gen = gen;
         Ok(())
@@ -379,7 +412,10 @@ impl Tree {
         fn walk(node: &Node, prefix: &Path, out: &mut Vec<Path>) {
             out.push(prefix.clone());
             for (name, child) in &node.children {
-                // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "child names were validated when inserted into the tree"
+                )]
                 let p = prefix.child(name).expect("stored names are valid");
                 walk(child, &p, out);
             }
@@ -402,7 +438,10 @@ impl Tree {
         fn record_subtree(node: &Node, path: &Path, out: &mut Vec<(Path, DomId)>) {
             out.push((path.clone(), node.perms.owner()));
             for (name, child) in &node.children {
-                // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "child names were validated when inserted into the tree"
+                )]
                 let p = path.child(name).expect("stored names are valid");
                 record_subtree(child, &p, out);
             }
@@ -432,25 +471,34 @@ impl Tree {
                 };
                 match order {
                     std::cmp::Ordering::Less => {
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
+                        #[expect(clippy::expect_used, reason = "peek returned Some on this branch")]
                         let (name, old_child) = old_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "child names were validated when inserted into the tree"
+                        )]
                         let p = path.child(name).expect("stored names are valid");
                         record_subtree(old_child, &p, &mut diff.removed);
                     }
                     std::cmp::Ordering::Greater => {
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
+                        #[expect(clippy::expect_used, reason = "peek returned Some on this branch")]
                         let (name, new_child) = new_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "child names were validated when inserted into the tree"
+                        )]
                         let p = path.child(name).expect("stored names are valid");
                         record_subtree(new_child, &p, &mut diff.added);
                     }
                     std::cmp::Ordering::Equal => {
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
+                        #[expect(clippy::expect_used, reason = "peek returned Some on this branch")]
                         let (name, old_child) = old_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "peek returned Some on this branch")
+                        #[expect(clippy::expect_used, reason = "peek returned Some on this branch")]
                         let (_, new_child) = new_children.next().expect("peeked");
-                        // jitsu-lint: allow(P001, "child names were validated when inserted into the tree")
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "child names were validated when inserted into the tree"
+                        )]
                         let p = path.child(name).expect("stored names are valid");
                         walk(old_child, new_child, &p, diff);
                     }

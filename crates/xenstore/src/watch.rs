@@ -55,7 +55,10 @@ impl WatchManager {
             &mut self.queues[idx].1
         } else {
             self.queues.push((dom, VecDeque::new()));
-            // jitsu-lint: allow(P001, "a queue entry was pushed on the previous line")
+            #[expect(
+                clippy::expect_used,
+                reason = "a queue entry was pushed on the previous line"
+            )]
             &mut self.queues.last_mut().expect("just pushed").1
         }
     }

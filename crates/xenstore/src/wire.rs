@@ -14,7 +14,10 @@ use crate::error::{Error, Result};
 /// Message type numbers, following `xen/include/public/io/xs_wire.h`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u32)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "each variant is named after its xs_wire.h constant"
+)]
 pub enum MsgType {
     Debug = 0,
     Directory = 1,
@@ -111,7 +114,10 @@ impl Message {
         out.extend_from_slice(&(self.kind as u32).to_le_bytes());
         out.extend_from_slice(&self.req_id.to_le_bytes());
         out.extend_from_slice(&self.tx_id.to_le_bytes());
-        // jitsu-lint: allow(N001, "decode rejects payloads above PAYLOAD_MAX (4096); the store never builds larger ones")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "decode rejects payloads above PAYLOAD_MAX (4096); the store never builds larger ones"
+        )]
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
         out
@@ -123,13 +129,25 @@ impl Message {
         if buf.len() < 16 {
             return Ok(None);
         }
-        // jitsu-lint: allow(P001, "the length guard above ensures a full 16-byte header")
+        #[expect(
+            clippy::expect_used,
+            reason = "the length guard above ensures a full 16-byte header"
+        )]
         let kind_raw = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
-        // jitsu-lint: allow(P001, "the length guard above ensures a full 16-byte header")
+        #[expect(
+            clippy::expect_used,
+            reason = "the length guard above ensures a full 16-byte header"
+        )]
         let req_id = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        // jitsu-lint: allow(P001, "the length guard above ensures a full 16-byte header")
+        #[expect(
+            clippy::expect_used,
+            reason = "the length guard above ensures a full 16-byte header"
+        )]
         let tx_id = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-        // jitsu-lint: allow(P001, "the length guard above ensures a full 16-byte header")
+        #[expect(
+            clippy::expect_used,
+            reason = "the length guard above ensures a full 16-byte header"
+        )]
         let len = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")) as usize;
         if len > PAYLOAD_MAX {
             return Err(Error::Protocol(format!(
@@ -229,7 +247,7 @@ mod tests {
         assert!(matches!(Message::decode(&bytes), Err(Error::Protocol(_))));
 
         let mut huge = Message::from_segments(MsgType::Read, 1, 0, &["/a"]).encode();
-        huge[12..16].copy_from_slice(&(PAYLOAD_MAX as u32 + 1).to_le_bytes());
+        huge[12..16].copy_from_slice(&u32::try_from(PAYLOAD_MAX + 1).unwrap().to_le_bytes());
         assert!(matches!(Message::decode(&huge), Err(Error::Protocol(_))));
     }
 

@@ -11,7 +11,7 @@
 use jitsu_repro::netstack::dns::DnsMessage;
 use jitsu_repro::netstack::http::HttpRequest;
 use jitsu_repro::netstack::ipv4::Ipv4Packet;
-use jitsu_repro::netstack::tcp::TcpSegment;
+use jitsu_repro::netstack::tcp::{SeqNum, TcpSegment};
 use jitsu_repro::prelude::*;
 use jitsu_repro::security::{classify, summary, JitsuImpact, CVE_DATASET};
 
@@ -52,9 +52,15 @@ fn main() {
             Ipv4Packet::parse(&(&[0x45u8, 0, 0]).into()).is_err(),
         ),
         ("TCP segment with corrupt checksum", {
-            let mut seg = TcpSegment::control(1, 80, 1, 0, jitsu_repro::netstack::TcpFlags::SYN)
-                .emit(src, dst)
-                .to_vec();
+            let mut seg = TcpSegment::control(
+                1,
+                80,
+                SeqNum(1),
+                SeqNum(0),
+                jitsu_repro::netstack::TcpFlags::SYN,
+            )
+            .emit(src, dst)
+            .to_vec();
             seg[16] ^= 0xff;
             TcpSegment::parse(&seg.into(), src, dst).is_err()
         }),

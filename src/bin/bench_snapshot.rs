@@ -7,22 +7,20 @@
 //! deterministic virtual metrics (exit 3).
 //!
 //! This binary is the only place in the workspace that reads the host
-//! clock. Everything under `crates/` is fenced off from `Instant` and
-//! `SystemTime` by jitsu-lint rule D002; the harness lives in `src/bin/`
-//! (the config's `wall_clock_sanctioned_dirs`) precisely so it can time
-//! the simulated workloads *from outside* the simulation.
+//! clock. Everything else is fenced off from `Instant` and `SystemTime` by
+//! clippy.toml's disallowed lists; the harness opts out so it can time the
+//! simulated workloads *from outside* the simulation.
 //!
 //! ```text
 //! bench_snapshot [--out <path>] [--compare <baseline>]
 //!                [--wall-tolerance <pct>] [--quick]
 //! ```
 
-#![forbid(unsafe_code)]
-// Sanctioned wall-clock use: clippy.toml disallows Instant/SystemTime
-// workspace-wide to keep them out of the simulated crates; this harness
-// binary is the designated exception (see jitsu-lint D002's
-// wall_clock_sanctioned_dirs).
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the harness times the simulation from outside it, so it reads the host clock"
+)]
 
 use bench::snapshot::{
     collect, compare, BenchConfig, Snapshot, WallTimer, DEFAULT_WALL_TOLERANCE_PCT, SCHEMA_VERSION,

@@ -33,8 +33,6 @@
 //! assert!(report.http_response_time.as_millis() < 450);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use baselines;
 pub use conduit;
 pub use jitsu;

@@ -5,8 +5,8 @@
 //! Each test performs the same set of insertions in two shuffled orders and
 //! asserts the rendered output is byte-identical. Before the conversion
 //! these would have been flaky under `HashMap`'s per-process SipHash seed;
-//! after it they are guaranteed stable, and `jitsu-lint` (rule D001) keeps
-//! them that way statically.
+//! after it they are guaranteed stable, and clippy.toml's ban on
+//! `HashMap`/`HashSet` (rule D001) keeps them that way statically.
 
 use jitsu_repro::prelude::*;
 

@@ -8,7 +8,7 @@ use jitsu_repro::netstack::ethernet::{EtherType, EthernetFrame, MacAddr};
 use jitsu_repro::netstack::http::HttpRequest;
 use jitsu_repro::netstack::icmp::IcmpEcho;
 use jitsu_repro::netstack::ipv4::{Ipv4Packet, Protocol};
-use jitsu_repro::netstack::tcp::{TcpFlags, TcpSegment};
+use jitsu_repro::netstack::tcp::{SeqNum, TcpFlags, TcpSegment};
 use jitsu_repro::netstack::udp::UdpDatagram;
 use jitsu_repro::netstack::FrameBuf;
 use jitsu_repro::prelude::*;
@@ -143,8 +143,8 @@ proptest! {
         let seg = TcpSegment {
             src_port: 49152,
             dst_port: 80,
-            seq,
-            ack,
+            seq: SeqNum(seq),
+            ack: SeqNum(ack),
             flags: TcpFlags::PSH_ACK,
             window: 8192,
             payload: payload.into(),

@@ -1,13 +1,15 @@
 //! Integration tests for the zero-copy frame path: a packet travelling
-//! bridge → vchan ring → unikernel is copied exactly once, at ring ingress.
-//! Everything downstream of the drain — ethernet/IP/TCP parsing, in-order
-//! delivery, HTTP reassembly — hands out `FrameBuf` views of that single
-//! allocation, and the tests here prove it with `shares_allocation`
+//! bridge → vchan ring → unikernel is copied exactly once, at ring ingress,
+//! and a packet Synjitsu parks during the handoff is copied exactly once, at
+//! the park. Everything downstream of that copy — ethernet/IP/TCP parsing,
+//! in-order delivery, HTTP reassembly — hands out `FrameBuf` views of the
+//! single allocation, and the tests here prove it with `shares_allocation`
 //! assertions on real end-to-end exchanges.
 
 use jitsu_repro::conduit::vchan::{Side, VchanPair};
 use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
 use jitsu_repro::netstack::iface::{IfaceEvent, Interface};
+use jitsu_repro::netstack::tcp::Connection;
 use jitsu_repro::netstack::{FrameBuf, MacAddr};
 use jitsu_repro::prelude::*;
 use jitsu_repro::unikernel::appliance::StaticSiteAppliance;
@@ -191,5 +193,83 @@ fn ring_drains_are_single_allocations_and_empty_drains_are_free() {
     assert!(
         !empty.has_allocation(),
         "an idle ring poll must not allocate"
+    );
+}
+
+/// Synjitsu capture and handoff replay (§3.3.1). A request that reaches
+/// Synjitsu while the handoff is in `Prepare` is parked in the store — the
+/// one copy on its path, since Figure 7 keeps parked packets as store
+/// values — and replayed by the unikernel after the commit. The replayed
+/// frame is the drained buffer itself, and the request the unikernel's
+/// stack delivers is a view of it: capture and replay add no copy.
+#[test]
+fn a_frame_parked_during_the_handoff_is_replayed_without_another_copy() {
+    let svc = ServiceConfig::http_site("alice.family.name", SERVER_IP);
+    let mut xs = XenStore::new(EngineKind::JitsuMerge);
+    let mut synjitsu = Synjitsu::new();
+    synjitsu.start_proxying(&mut xs, &svc).unwrap();
+
+    // Synjitsu completes the client's handshake on the booting service's
+    // behalf.
+    let mut client = Interface::new(CLIENT_MAC, CLIENT_IP);
+    client.add_arp_entry(svc.ip, svc.mac());
+    let mut to_proxy = vec![client.tcp_connect(svc.ip, svc.port)];
+    let mut connected = None;
+    for _ in 0..16 {
+        let mut to_client = Vec::new();
+        for f in to_proxy.drain(..) {
+            to_client.extend(synjitsu.handle_frame(&mut xs, &svc.name, &f).unwrap());
+        }
+        for f in to_client {
+            let (out, events) = client.handle_frame(&f);
+            to_proxy.extend(out);
+            for ev in events {
+                if let IfaceEvent::TcpConnected { remote, local_port } = ev {
+                    connected = Some((remote, local_port));
+                }
+            }
+        }
+    }
+    let (remote, local_port) = connected.expect("synjitsu completes the handshake");
+
+    // The unikernel asks to take over; the request that arrives now is
+    // parked, not answered.
+    synjitsu.prepare_handoff(&mut xs, &svc.name).unwrap();
+    let request = HttpRequest::get("/", &svc.name).emit();
+    let arriving = client.tcp_send(remote, local_port, &request).unwrap();
+    let answered = synjitsu
+        .handle_frame(&mut xs, &svc.name, &arriving)
+        .unwrap();
+    assert!(answered.is_empty(), "nobody answers during Prepare");
+
+    // The unikernel adopts the proxied connection, commits, and replays the
+    // parked frame.
+    let mut unikernel = Interface::new(svc.mac(), svc.ip);
+    unikernel.listen_tcp(svc.port);
+    for (_, tcb) in synjitsu.connection_records(&svc.name) {
+        unikernel.adopt_connection(Connection::from_tcb(tcb), CLIENT_MAC);
+    }
+    let parked = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
+    assert_eq!(parked.len(), 1, "exactly the one late frame was parked");
+    let replayed = &parked[0];
+    assert_eq!(replayed, &arriving, "the park is loss-free");
+    assert!(
+        replayed.has_allocation(),
+        "the park is the frame's one copy"
+    );
+
+    let (_, events) = unikernel.handle_frame(replayed);
+    let delivered: Vec<FrameBuf> = events
+        .into_iter()
+        .filter_map(|ev| match ev {
+            IfaceEvent::TcpData { data, .. } => Some(data),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(delivered.len(), 1, "the replay delivers the request once");
+    assert_eq!(delivered[0], request);
+    assert!(
+        delivered[0].shares_allocation(replayed),
+        "the replayed request must be a view of the drained frame"
     );
 }

@@ -9,7 +9,7 @@ use jitsu_repro::netstack::http::{HttpRequest, HttpResponse};
 use jitsu_repro::netstack::icmp::IcmpEcho;
 use jitsu_repro::netstack::ipv4::{Ipv4Packet, Protocol};
 use jitsu_repro::netstack::tcp::{
-    seq_ge, seq_gt, seq_le, seq_lt, Connection, Listener, Tcb, TcpFlags, TcpSegment, TcpState,
+    Connection, Listener, SeqNum, Tcb, TcpFlags, TcpSegment, TcpState,
 };
 use jitsu_repro::netstack::udp::UdpDatagram;
 use jitsu_repro::prelude::*;
@@ -83,7 +83,7 @@ proptest! {
     fn tcp_segment_round_trips(src in arb_ipv4(), dst in arb_ipv4(), sport in 1u16..=65535,
                                dport in 1u16..=65535, seq in any::<u32>(), ack in any::<u32>(),
                                payload in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let seg = TcpSegment { src_port: sport, dst_port: dport, seq, ack,
+        let seg = TcpSegment { src_port: sport, dst_port: dport, seq: SeqNum(seq), ack: SeqNum(ack),
                                flags: TcpFlags::PSH_ACK, window: 8192, payload: payload.into() };
         let parsed = TcpSegment::parse(&seg.emit(src, dst), src, dst).unwrap();
         prop_assert_eq!(parsed, seg);
@@ -99,7 +99,7 @@ proptest! {
         let flags = TcpFlags::from_bits(flag_bits);
         // The 5 flag bits encode losslessly.
         prop_assert_eq!(flags.to_bits(), flag_bits);
-        let seg = TcpSegment { src_port: sport, dst_port: dport, seq, ack, flags, window,
+        let seg = TcpSegment { src_port: sport, dst_port: dport, seq: SeqNum(seq), ack: SeqNum(ack), flags, window,
                                payload: payload.into() };
         let parsed = TcpSegment::parse(&seg.emit(src, dst), src, dst).unwrap();
         prop_assert_eq!(&parsed, &seg);
@@ -128,14 +128,14 @@ proptest! {
         // chunk's length) yields two independently checksum-valid segments
         // whose payloads reassemble into the original bytes.
         let first = TcpSegment { payload: payload[..k].into(),
-                                 ..TcpSegment::control(49152, 80, seq, 1, TcpFlags::ACK) };
+                                 ..TcpSegment::control(49152, 80, SeqNum(seq), SeqNum(1), TcpFlags::ACK) };
         let second = TcpSegment { payload: payload[k..].into(),
                                   ..TcpSegment::control(49152, 80,
-                                                        seq.wrapping_add(k as u32), 1,
+                                                        SeqNum(seq) + k as u32, SeqNum(1),
                                                         TcpFlags::PSH_ACK) };
         let a = TcpSegment::parse(&first.emit(src, dst), src, dst).unwrap();
         let b = TcpSegment::parse(&second.emit(src, dst), src, dst).unwrap();
-        prop_assert_eq!(b.seq.wrapping_sub(a.seq) as usize, a.payload.len());
+        prop_assert_eq!((b.seq - a.seq) as usize, a.payload.len());
         let mut reassembled = a.payload.to_vec();
         reassembled.extend_from_slice(&b.payload);
         prop_assert_eq!(reassembled, payload);
@@ -203,15 +203,16 @@ proptest! {
         // For any base point `a` — including right at the 2^32 wrap — and
         // any forward distance below half the sequence space, the wrapping
         // comparisons order a before a+d and agree with each other.
-        let b = a.wrapping_add(d);
-        prop_assert!(seq_lt(a, b));
-        prop_assert!(seq_le(a, b));
-        prop_assert!(seq_gt(b, a));
-        prop_assert!(seq_ge(b, a));
-        prop_assert!(!seq_lt(b, a));
-        prop_assert!(!seq_gt(a, b));
+        let (a, b) = (SeqNum(a), SeqNum(a) + d);
+        prop_assert!(a.lt(b));
+        prop_assert!(a.le(b));
+        prop_assert!(b.gt(a));
+        prop_assert!(b.ge(a));
+        prop_assert!(!b.lt(a));
+        prop_assert!(!a.gt(b));
+        prop_assert_eq!(b - a, d);
         // Reflexivity of the non-strict forms.
-        prop_assert!(seq_le(a, a) && seq_ge(a, a) && !seq_lt(a, a) && !seq_gt(a, a));
+        prop_assert!(a.le(a) && a.ge(a) && !a.lt(a) && !a.gt(a));
     }
 
     #[test]
@@ -286,7 +287,8 @@ proptest! {
                                           isn in any::<u32>(), snd in any::<u32>(), una in any::<u32>(), rcv in any::<u32>(),
                                           buffered in proptest::collection::vec(any::<u8>(), 0..128)) {
         let tcb = Tcb { state, local_ip: local, local_port: lport, remote_ip: remote, remote_port: rport,
-                        isn, snd_nxt: snd, snd_una: una, rcv_nxt: rcv, buffered };
+                        isn: SeqNum(isn), snd_nxt: SeqNum(snd), snd_una: SeqNum(una),
+                        rcv_nxt: SeqNum(rcv), buffered };
         let parsed = Tcb::from_sexp(&tcb.to_sexp()).unwrap();
         prop_assert_eq!(parsed, tcb);
     }
