@@ -1,17 +1,16 @@
-//! The concurrent boot-storm engine: an event-driven jitsud.
+//! The Jitsu daemon, jitsud, as an event-driven engine.
 //!
-//! [`Jitsud`](crate::jitsud::Jitsud) drives exactly one cold-start timeline
-//! at a time, which is faithful to Figure 9a but cannot exercise the regime
-//! §3.3 actually describes: "If the name requested does not correspond to a
-//! running unikernel, Jitsu launches the desired unikernel while
-//! simultaneously returning an appropriate endpoint", idle unikernels are
-//! reaped to reclaim memory, and "resource exhaustion is reported as
-//! `SERVFAIL` so clients fail over to another board". All three behaviours
-//! only become interesting when many DNS queries for many names overlap —
-//! the boot storm.
+//! §3.3: "If the name requested does not correspond to a running
+//! unikernel, Jitsu launches the desired unikernel while simultaneously
+//! returning an appropriate endpoint"; idle unikernels are reaped to
+//! reclaim memory, and "resource exhaustion is reported as `SERVFAIL` so
+//! clients fail over to another board". One query injected and run to
+//! quiescence is the single cold start Figure 9a measures; many queries for
+//! many names overlapping is the boot storm, where all three behaviours
+//! interact.
 //!
-//! [`ConcurrentJitsud`] is that daemon, rebuilt as a *world* scheduled on
-//! the [`jitsu_sim`] discrete-event engine. Every configured service owns a
+//! [`ConcurrentJitsud`] is that daemon: a *world* scheduled on the
+//! [`jitsu_sim`] discrete-event engine. Every configured service owns a
 //! lifecycle state machine:
 //!
 //! ```text
@@ -44,8 +43,8 @@
 //! The SYN queue is not a counter: while a service boots, each queued
 //! client completes a real TCP handshake against the real
 //! [`Synjitsu`] proxy (same `netstack` the unikernels use), and at
-//! network-ready the whole queue is handed over through XenStore exactly as
-//! in the linear daemon.
+//! network-ready the whole queue is handed over through XenStore and the
+//! conduit vchan (Figure 7).
 
 use crate::config::{JitsuConfig, ServiceConfig};
 use crate::directory::{DirectoryAction, DirectoryService};
@@ -457,7 +456,8 @@ impl ConcurrentJitsud {
         self.launcher.toolstack.xenstore_stats()
     }
 
-    /// The directory service (for inspecting phases and counters).
+    /// The directory service (for inspecting which names are alive and its
+    /// counters).
     pub fn directory(&self) -> &DirectoryService {
         &self.directory
     }
@@ -781,9 +781,7 @@ impl ConcurrentJitsud {
                     + world.one_way_delay;
                 world.metrics.ttfb.record(ttfb);
                 world.metrics.warm_hits += 1;
-                // The engine's `last_activity` is the idle clock the reaper
-                // consults; the directory's copy was already refreshed by
-                // `handle_query`.
+                // `last_activity` is the idle clock the reaper consults.
                 *last_activity = now;
                 Self::schedule_reap_check(sim, name, now);
             }
@@ -1327,8 +1325,9 @@ impl ConcurrentJitsud {
     }
 
     /// Time from a client's DNS query to its first response byte, for a
-    /// client parked on a boot. Mirrors the linear daemon's timeline
-    /// arithmetic (`Jitsud::cold_start_request`).
+    /// client parked on a boot: the closed-form timeline of Figure 9a's
+    /// three configurations. The launch starts when the query arrives, and
+    /// the unikernel's first response costs the CPU-scaled `service_cost`.
     fn cold_ttfb(
         &self,
         arrived: SimTime,

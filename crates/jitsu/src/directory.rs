@@ -13,7 +13,7 @@ use crate::config::JitsuConfig;
 use jitsu_sim::SimTime;
 use netstack::dns::{DnsMessage, Rcode};
 use netstack::ipv4::Ipv4Addr;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 /// What the directory decided to do with a query, beyond answering it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,36 +37,17 @@ pub enum DirectoryAction {
     },
 }
 
-/// Which phase of its lifecycle a known-alive service is in, from the
-/// directory's point of view.
-///
-/// The distinction matters under concurrency: a query for a *mid-launch*
-/// name must coalesce onto the in-flight boot (answered as if the service
-/// were already running) rather than trigger a second launch, and a
-/// mid-launch service must never be reaped as "idle" — its launch clock is
-/// not an idle clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServicePhase {
-    /// A launch has been triggered but the unikernel is not yet serving.
-    Launching,
-    /// The unikernel is up and serving requests.
-    Running,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ServiceStatus {
-    phase: ServicePhase,
-    last_activity: SimTime,
-}
-
 /// The directory service state: configured services plus which are alive
 /// (mid-launch or running).
+///
+/// A query for an alive name is answered with its address and never
+/// triggers a second launch: mid-launch, it coalesces onto the in-flight
+/// boot. The directory keeps no idle clock; when a service goes idle is the
+/// engine's call (`Lifecycle::Running::last_activity`).
 #[derive(Debug)]
 pub struct DirectoryService {
     config: JitsuConfig,
-    /// Alive services: their lifecycle phase and when they last served a
-    /// request (for the idle retirement policy).
-    services: BTreeMap<String, ServiceStatus>,
+    alive: BTreeSet<String>,
     queries_handled: u64,
     launches_triggered: u64,
 }
@@ -76,7 +57,7 @@ impl DirectoryService {
     pub fn new(config: JitsuConfig) -> DirectoryService {
         DirectoryService {
             config,
-            services: BTreeMap::new(),
+            alive: BTreeSet::new(),
             queries_handled: 0,
             launches_triggered: 0,
         }
@@ -87,81 +68,31 @@ impl DirectoryService {
         &self.config
     }
 
-    /// Record that a launch is in flight for a service, so repeat queries
-    /// coalesce onto it instead of double-launching.
-    pub fn mark_launching(&mut self, name: &str, now: SimTime) {
-        self.services.insert(
-            name.trim_matches('.').to_string(),
-            ServiceStatus {
-                phase: ServicePhase::Launching,
-                last_activity: now,
-            },
-        );
-    }
-
     /// Record that a service's unikernel is now serving requests (called
-    /// when the launch completes).
-    pub fn mark_ready(&mut self, name: &str, now: SimTime) {
-        self.services.insert(
-            name.trim_matches('.').to_string(),
-            ServiceStatus {
-                phase: ServicePhase::Running,
-                last_activity: now,
-            },
-        );
-    }
-
-    /// Record that a service served a request (refreshes the idle clock).
-    pub fn touch(&mut self, name: &str, now: SimTime) {
-        if let Some(s) = self.services.get_mut(name.trim_matches('.')) {
-            s.last_activity = now;
-        }
+    /// when the launch completes). The time is not kept: the directory has
+    /// no idle clock.
+    pub fn mark_ready(&mut self, name: &str, _now: SimTime) {
+        self.alive.insert(name.trim_matches('.').to_string());
     }
 
     /// Record that a service has been retired (or that its launch failed).
     pub fn mark_stopped(&mut self, name: &str) {
-        self.services.remove(name.trim_matches('.'));
+        self.alive.remove(name.trim_matches('.'));
     }
 
     /// Is the service alive — mid-launch or running? Either way a query for
     /// it is answered with its address and must not trigger another launch.
     pub fn is_running(&self, name: &str) -> bool {
-        self.services.contains_key(name.trim_matches('.'))
-    }
-
-    /// The service's lifecycle phase, if it is alive.
-    pub fn phase(&self, name: &str) -> Option<ServicePhase> {
-        self.services.get(name.trim_matches('.')).map(|s| s.phase)
-    }
-
-    /// Services idle for longer than the configured timeout at `now`.
-    ///
-    /// Only [`ServicePhase::Running`] services are candidates: a mid-launch
-    /// service's `last_activity` is its launch-trigger time, and reaping it
-    /// would tear down a domain that is still being constructed.
-    pub fn idle_services(&self, now: SimTime) -> Vec<String> {
-        let Some(timeout) = self.config.idle_timeout else {
-            return Vec::new();
-        };
-        let mut idle: Vec<String> = self
-            .services
-            .iter()
-            .filter(|(_, s)| {
-                s.phase == ServicePhase::Running && now.duration_since(s.last_activity) >= timeout
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
-        idle.sort();
-        idle
+        self.alive.contains(name.trim_matches('.'))
     }
 
     /// Handle a DNS query, given whether the host currently has resources to
     /// summon another unikernel. Returns the response to send immediately
-    /// and the action the caller (jitsud) should take.
+    /// and the action the daemon should take.
     pub fn handle_query(
         &mut self,
         query: &DnsMessage,
-        now: SimTime,
+        _now: SimTime,
         resources_available: bool,
     ) -> (DnsMessage, DirectoryAction) {
         self.queries_handled += 1;
@@ -192,7 +123,6 @@ impl DirectoryService {
             return (DnsMessage::error(query, rcode), DirectoryAction::None);
         };
         if self.is_running(&service.name) {
-            self.touch(&service.name, now);
             return (
                 DnsMessage::answer(query, service.ip, self.config.dns_ttl),
                 DirectoryAction::AlreadyRunning { name: service.name },
@@ -205,11 +135,10 @@ impl DirectoryService {
             );
         }
         // Launch while simultaneously answering with the (future) address.
-        // The service is marked *launching*, not running: further queries
-        // coalesce onto this boot (AlreadyRunning) instead of double-
-        // launching, and the idle reaper leaves it alone until it is ready.
+        // The service is alive from now on: further queries coalesce onto
+        // this boot (AlreadyRunning) instead of double-launching.
         self.launches_triggered += 1;
-        self.mark_launching(&service.name, now);
+        self.alive.insert(service.name.clone());
         (
             DnsMessage::answer(query, service.ip, self.config.dns_ttl),
             DirectoryAction::Launch { name: service.name },
@@ -226,7 +155,6 @@ impl DirectoryService {
 mod tests {
     use super::*;
     use crate::config::ServiceConfig;
-    use jitsu_sim::SimDuration;
 
     fn config() -> JitsuConfig {
         JitsuConfig::new("family.name")
@@ -273,10 +201,6 @@ mod tests {
             }
         );
         assert!(dir.is_running("alice.family.name"));
-        assert_eq!(
-            dir.phase("alice.family.name"),
-            Some(ServicePhase::Launching)
-        );
         assert_eq!(dir.counters(), (1, 1));
     }
 
@@ -304,12 +228,17 @@ mod tests {
             }
         );
         assert_eq!(dir.counters(), (2, 1), "exactly one launch triggered");
-        assert_eq!(
-            dir.phase("alice.family.name"),
-            Some(ServicePhase::Launching)
-        );
         dir.mark_ready("alice.family.name", SimTime::from_millis(350));
-        assert_eq!(dir.phase("alice.family.name"), Some(ServicePhase::Running));
+        assert!(dir.is_running("alice.family.name"));
+        // Retired, the name launches afresh on its next query.
+        dir.mark_stopped("alice.family.name");
+        let (_, again) = dir.handle_query(
+            &DnsMessage::query(3, "alice.family.name"),
+            SimTime::from_secs(200),
+            true,
+        );
+        assert!(matches!(again, DirectoryAction::Launch { .. }));
+        assert_eq!(dir.counters(), (3, 2));
     }
 
     #[test]
@@ -360,40 +289,5 @@ mod tests {
             dir.handle_query(&DnsMessage::query(1, "ns.family.name"), SimTime::ZERO, true);
         assert_eq!(resp.rcode, Rcode::NoError);
         assert_eq!(action, DirectoryAction::None);
-    }
-
-    #[test]
-    fn idle_services_are_reported_after_timeout() {
-        let mut cfg = config();
-        cfg.idle_timeout = Some(SimDuration::from_secs(60));
-        let mut dir = DirectoryService::new(cfg);
-        dir.handle_query(
-            &DnsMessage::query(1, "alice.family.name"),
-            SimTime::ZERO,
-            true,
-        );
-        // Mid-launch the service is never an idle-reaping candidate, no
-        // matter how long the launch takes.
-        assert!(dir.idle_services(SimTime::from_secs(61)).is_empty());
-        dir.mark_ready("alice.family.name", SimTime::ZERO);
-        assert!(dir.idle_services(SimTime::from_secs(30)).is_empty());
-        assert_eq!(
-            dir.idle_services(SimTime::from_secs(61)),
-            vec!["alice.family.name".to_string()]
-        );
-        // A request refreshes the idle clock.
-        dir.touch("alice.family.name", SimTime::from_secs(59));
-        assert!(dir.idle_services(SimTime::from_secs(100)).is_empty());
-        dir.mark_stopped("alice.family.name");
-        assert!(!dir.is_running("alice.family.name"));
-    }
-
-    #[test]
-    fn no_idle_reporting_without_timeout() {
-        let mut cfg = config();
-        cfg.idle_timeout = None;
-        let mut dir = DirectoryService::new(cfg);
-        dir.mark_ready("alice.family.name", SimTime::ZERO);
-        assert!(dir.idle_services(SimTime::from_secs(10_000)).is_empty());
     }
 }

@@ -59,14 +59,13 @@ pub enum LaunchError {
     Toolstack(String),
 }
 
-/// The launcher: wraps a [`Toolstack`] and tracks which domain serves which
-/// service.
+/// The launcher: wraps a [`Toolstack`] and summons and retires domains on
+/// it with the configured boot optimisations.
 pub struct Launcher {
-    /// The underlying toolstack (public so jitsud can reach the store,
+    /// The underlying toolstack (public so the daemon can reach the store,
     /// bridge and grant/event-channel tables).
     pub toolstack: Toolstack,
     boot_opts: xen_sim::toolstack::BootOptimisations,
-    launches: Vec<LaunchOutcome>,
 }
 
 impl Launcher {
@@ -75,13 +74,7 @@ impl Launcher {
         Launcher {
             toolstack,
             boot_opts,
-            launches: Vec::new(),
         }
-    }
-
-    /// Whether the host can currently satisfy a service's memory needs.
-    pub fn has_resources_for(&self, service: &ServiceConfig) -> bool {
-        self.toolstack.can_allocate(service.image.memory_mib)
     }
 
     /// Free guest memory on the board, in MiB. The concurrent engine
@@ -139,7 +132,6 @@ impl Launcher {
             network_ready_after: pipeline.time_to_network_ready(),
             app_ready_after: pipeline.total(),
         };
-        self.launches.push(outcome.clone());
         Ok((outcome, instance))
     }
 
@@ -148,11 +140,6 @@ impl Launcher {
         self.toolstack
             .destroy(dom)
             .map_err(|e| LaunchError::Toolstack(format!("{e:?}")))
-    }
-
-    /// All launches performed so far.
-    pub fn launches(&self) -> &[LaunchOutcome] {
-        &self.launches
     }
 }
 
@@ -182,7 +169,7 @@ mod tests {
         assert!((280..400).contains(&ms), "cold boot = {ms} ms");
         assert!(outcome.network_ready_at() < outcome.app_ready_at());
         assert_eq!(instance.name(), "alice.family.name");
-        assert_eq!(l.launches().len(), 1);
+        assert_eq!(outcome.name, "alice.family.name");
     }
 
     #[test]
@@ -199,21 +186,23 @@ mod tests {
         let mut l = launcher(BootOptimisations::jitsu());
         let mut big = alice();
         big.image.memory_mib = 4096; // more than the board has
-        assert!(!l.has_resources_for(&big));
+        assert!(l.free_mib() < big.image.memory_mib);
+        let before = l.free_mib();
         assert_eq!(
             l.summon(&big, SimTime::ZERO, 1).unwrap_err(),
             LaunchError::OutOfResources
         );
+        assert_eq!(l.free_mib(), before, "a failed summon allocates nothing");
     }
 
     #[test]
     fn retire_frees_capacity_for_the_next_summon() {
         let mut l = launcher(BootOptimisations::jitsu());
-        let before = l.toolstack.free_mib();
+        let before = l.free_mib();
         let (outcome, _) = l.summon(&alice(), SimTime::ZERO, 1).unwrap();
-        assert!(l.toolstack.free_mib() < before);
+        assert_eq!(l.free_mib(), before - alice().image.memory_mib);
         l.retire(outcome.dom).unwrap();
-        assert_eq!(l.toolstack.free_mib(), before);
+        assert_eq!(l.free_mib(), before);
         // Retiring twice is an error.
         assert!(l.retire(outcome.dom).is_err());
     }

@@ -18,13 +18,12 @@
 //!   connection state in XenStore (Figure 7);
 //! * [`handoff`] — the two-phase commit through XenStore that guarantees
 //!   exactly one of Synjitsu or the unikernel answers any given packet;
-//! * [`jitsud`] — the daemon tying it all together, with the end-to-end
-//!   cold-start and warm-request timelines that Figure 9a measures;
-//! * [`concurrent`] — the event-driven concurrent engine: per-service
-//!   lifecycle state machines scheduled on the `jitsu_sim` event engine,
-//!   with launch-slot admission control, duplicate-query coalescing,
-//!   memory-exhaustion `SERVFAIL` and idle reaping (§3.3) — the machinery
-//!   the boot-storm experiment drives.
+//! * [`concurrent`] — the daemon tying it all together, `ConcurrentJitsud`:
+//!   per-service lifecycle state machines scheduled on the `jitsu_sim`
+//!   event engine, with launch-slot admission control, duplicate-query
+//!   coalescing, memory-exhaustion `SERVFAIL` and idle reaping (§3.3). One
+//!   injected query run to quiescence is a Figure 9a cold start; many
+//!   overlapping ones are a boot storm.
 
 #![warn(missing_docs)]
 // A sim-logic crate: outside tests, no panics or discarded `Result`s
@@ -41,15 +40,17 @@ pub mod config;
 pub mod directory;
 pub mod fleet;
 pub mod handoff;
-pub mod jitsud;
 pub mod launcher;
 pub mod synjitsu;
 
+#[cfg(test)]
+#[path = "jitsud_tests.rs"]
+mod jitsud;
+
 pub use concurrent::{ConcurrentJitsud, Lifecycle, LifecyclePhase, StormMetrics, StormSim};
 pub use config::{JitsuConfig, Protocol, ServiceConfig};
-pub use directory::{DirectoryAction, DirectoryService, ServicePhase};
+pub use directory::{DirectoryAction, DirectoryService};
 pub use fleet::{FleetMsg, FleetSim};
 pub use handoff::{HandoffCoordinator, HandoffPhase};
-pub use jitsud::{ColdStartMode, ColdStartReport, Jitsud, RequestOutcome};
 pub use launcher::{LaunchOutcome, Launcher};
 pub use synjitsu::Synjitsu;

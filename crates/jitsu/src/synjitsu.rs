@@ -229,18 +229,6 @@ impl Synjitsu {
         self.services.remove(name);
         Ok(pending)
     }
-
-    /// Perform the whole handoff in one step (the linear daemon's path,
-    /// where no virtual time passes between the phases): prepare, then
-    /// commit, returning the TCBs (with buffered request bytes) the
-    /// unikernel must adopt — read back from the store, Figure 7 style.
-    pub fn handoff(&mut self, xs: &mut XenStore, name: &str) -> XsResult<Vec<Tcb>> {
-        self.prepare_handoff(xs, name)?;
-        let tcbs = self.handoff.commit_takeover(xs, name)?;
-        let _pending = self.handoff.drain_pending_frames(xs, name)?;
-        self.services.remove(name);
-        Ok(tcbs)
-    }
 }
 
 #[cfg(test)]
@@ -289,6 +277,21 @@ mod tests {
         }
     }
 
+    /// Run the two-phase handoff the engine runs: prepare, take the records
+    /// a conduit vchan drain would carry, commit. Returns the drained TCBs,
+    /// with buffered request bytes attached. No frame races the prepare
+    /// window here, so none may come back parked.
+    fn two_phase_handoff(xs: &mut XenStore, syn: &mut Synjitsu, name: &str) -> Vec<Tcb> {
+        syn.prepare_handoff(xs, name).unwrap();
+        let tcbs = syn
+            .connection_records(name)
+            .into_iter()
+            .map(|(_, tcb)| tcb)
+            .collect();
+        assert!(syn.commit_handoff(xs, name).unwrap().is_empty());
+        tcbs
+    }
+
     #[test]
     fn syn_is_answered_and_recorded_while_booting() {
         let mut xs = XenStore::new(EngineKind::JitsuMerge);
@@ -327,7 +330,7 @@ mod tests {
         let data_frame = c.tcp_send((svc.ip, svc.port), 49152, &request).unwrap();
         pump(&mut xs, &mut synjitsu, &mut c, &svc.name, data_frame);
 
-        let tcbs = synjitsu.handoff(&mut xs, &svc.name).unwrap();
+        let tcbs = two_phase_handoff(&mut xs, &mut synjitsu, &svc.name);
         assert_eq!(tcbs.len(), 1);
         assert_eq!(tcbs[0].state, TcpState::Established);
         assert_eq!(tcbs[0].buffered, request);
@@ -344,7 +347,7 @@ mod tests {
         let mut synjitsu = Synjitsu::new();
         let svc = service();
         synjitsu.start_proxying(&mut xs, &svc).unwrap();
-        synjitsu.handoff(&mut xs, &svc.name).unwrap();
+        two_phase_handoff(&mut xs, &mut synjitsu, &svc.name);
 
         let mut c = client();
         let syn_frame = c.tcp_connect(svc.ip, svc.port);
@@ -398,7 +401,10 @@ mod tests {
 
         let flushed = synjitsu.prepare_handoff(&mut xs, &svc.name).unwrap();
         assert_eq!(flushed, 1);
-        // The records a vchan drain would carry match the one-shot path.
+        // The records a vchan drain would carry match the store's Figure 7
+        // copy that prepare just flushed.
+        let h = HandoffCoordinator::new();
+        assert_eq!(h.recorded_connections(&mut xs, &svc.name), 1);
         let records = synjitsu.connection_records(&svc.name);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].1.state, TcpState::Established);
@@ -406,7 +412,6 @@ mod tests {
         let pending = synjitsu.commit_handoff(&mut xs, &svc.name).unwrap();
         assert!(pending.is_empty());
         assert!(!synjitsu.is_proxying(&svc.name));
-        let h = HandoffCoordinator::new();
         assert!(h.unikernel_should_handle(&mut xs, &svc.name));
         assert_eq!(h.recorded_connections(&mut xs, &svc.name), 0);
     }
@@ -450,7 +455,7 @@ mod tests {
         pump(&mut xs, &mut synjitsu, &mut c1, &svc.name, r1);
         pump(&mut xs, &mut synjitsu, &mut c2, &svc.name, r2);
 
-        let tcbs = synjitsu.handoff(&mut xs, &svc.name).unwrap();
+        let tcbs = two_phase_handoff(&mut xs, &mut synjitsu, &svc.name);
         assert_eq!(tcbs.len(), 2);
         let mut paths: Vec<Vec<u8>> = tcbs.iter().map(|t| t.buffered.clone()).collect();
         paths.sort();

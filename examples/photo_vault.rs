@@ -19,14 +19,17 @@ fn main() {
         "photos.family.name",
         Ipv4Addr::new(192, 168, 1, 30),
     ));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 11);
-    let viewer = Ipv4Addr::new(192, 168, 1, 101);
-    let cold = jitsud
-        .cold_start_request("photos.family.name", viewer, "/")
-        .expect("vault summoned");
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 11);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "photos.family.name");
+    sim.run_until(SimTime::from_secs(1));
+    let m = sim.world().metrics();
+    assert_eq!(
+        m.handoff.completed, 1,
+        "the vault's first response arrived intact"
+    );
     println!(
-        "photo vault summoned: HTTP {} in {}",
-        cold.http_status, cold.http_response_time
+        "photo vault summoned: first byte after {:.3}ms",
+        m.ttfb.p50_ms()
     );
 
     // --- Serve an album from local storage --------------------------------
@@ -72,5 +75,10 @@ fn main() {
         nuc_kwh / arm_kwh
     );
     assert!(nuc_kwh > arm_kwh);
-    assert!((30.0..90.0).contains(&mbps));
+    // Storage-bound: at least 80% of the card's raw read rate (the reads
+    // that miss the cache pay an access latency on top), and below the
+    // board's NIC (the reads that hit the cache lift it above the raw rate).
+    let raw = StorageKind::SdCard.device().read_throughput_mbps();
+    let nic = f64::from(BoardKind::Cubieboard2.board().nic_mbps);
+    assert!((0.8 * raw..nic).contains(&mbps), "{mbps:.1} Mb/s");
 }

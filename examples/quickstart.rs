@@ -5,8 +5,8 @@
 //! `alice.family.name` triggers the launch, Synjitsu proxies the client's
 //! TCP connection while the unikernel boots, the connection state is handed
 //! over through XenStore, and the freshly booted unikernel answers the
-//! buffered request. A second, warm request then completes in a few
-//! milliseconds.
+//! buffered request. A second, warm request then completes in a few tens of
+//! milliseconds, DNS round trip included.
 
 use jitsu_repro::prelude::*;
 
@@ -15,34 +15,31 @@ fn main() {
         "alice.family.name",
         Ipv4Addr::new(192, 168, 1, 20),
     ));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 42);
-    let client = Ipv4Addr::new(192, 168, 1, 100);
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 42);
 
     println!("== Cold start: first request summons the unikernel ==");
-    let cold = jitsud
-        .cold_start_request("alice.family.name", client, "/")
-        .expect("cold start");
-    println!("  DNS answered in        {}", cold.dns_response_time);
-    println!("  unikernel ready after  {}", cold.unikernel_ready_after);
-    println!(
-        "  HTTP {} received after {}",
-        cold.http_status, cold.http_response_time
-    );
-    println!("  proxied by Synjitsu:   {}", cold.proxied);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "alice.family.name");
+    sim.run_until(SimTime::from_secs(1));
+    let m = sim.world().metrics();
+    let cold_ms = m.ttfb.p50_ms();
+    println!("  first response byte after  {cold_ms:.3}ms");
+    println!("  connections handed over   {}", m.syn_handoffs);
+    println!("  byte-exact responses      {}", m.handoff.completed);
+    assert_eq!(m.cold_served, 1);
+    assert_eq!(m.handoff.completed, 1);
 
     println!("\n== Warm request: the unikernel is already running ==");
-    let warm = jitsud
-        .warm_request("alice.family.name", client, "/")
-        .expect("warm request");
-    println!(
-        "  HTTP {} received after {}",
-        warm.http_status, warm.response_time
-    );
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(1), "alice.family.name");
+    sim.run_until(SimTime::from_secs(2));
+    let m = sim.world().metrics();
+    // Two samples now; the faster one is the warm hit only if it beat the
+    // cold start.
+    let warm_ms = m.ttfb.percentile_ms(0.0);
+    println!("  first response byte after  {warm_ms:.3}ms");
+    assert_eq!(m.warm_hits, 1);
+    assert_eq!(m.launches, 1, "the warm request must not relaunch");
+    assert!(warm_ms < cold_ms, "warm {warm_ms}ms vs cold {cold_ms}ms");
 
     println!("\n== Control-plane trace (Figure 6's flow) ==");
-    print!("{}", jitsud.tracer.render());
-
-    assert_eq!(cold.http_status, 200);
-    assert_eq!(warm.http_status, 200);
-    assert!(warm.response_time < cold.http_response_time);
+    print!("{}", sim.world().tracer.render());
 }

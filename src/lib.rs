@@ -15,7 +15,7 @@
 //! | [`platform`] | boards, storage, power and battery models (Table 1) |
 //! | [`baselines`] | Docker, inetd and Linux-VM baselines (Figure 9b) |
 //! | [`security`] | the CVE dataset and Jitsu-impact classification (Table 2) |
-//! | [`jitsu`] | the directory service, launcher, Synjitsu and jitsud (Figures 6 and 9a) |
+//! | [`jitsu`] | the directory service, launcher, Synjitsu and the jitsud engine (Figures 6 and 9a) |
 //!
 //! ## Quickstart
 //!
@@ -25,12 +25,14 @@
 //! // One ARM board, one personal web site, summoned on first request.
 //! let config = JitsuConfig::new("family.name")
 //!     .with_service(ServiceConfig::http_site("alice.family.name", Ipv4Addr::new(192, 168, 1, 20)));
-//! let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 42);
-//! let report = jitsud
-//!     .cold_start_request("alice.family.name", Ipv4Addr::new(192, 168, 1, 100), "/")
-//!     .unwrap();
-//! assert_eq!(report.http_status, 200);
-//! assert!(report.http_response_time.as_millis() < 450);
+//! let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 42);
+//! ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, "alice.family.name");
+//! sim.run_until(SimTime::from_secs(1));
+//! let m = sim.world().metrics();
+//! // Synjitsu held the connection; the booted unikernel's response reached
+//! // the client byte for byte, at about the cold-boot latency.
+//! assert_eq!(m.handoff.completed, 1);
+//! assert!(m.ttfb.p50_ms() < 450.0);
 //! ```
 
 pub use baselines;
@@ -50,9 +52,8 @@ pub mod prelude {
         ConcurrentJitsud, HandoffStats, LifecyclePhase, StormMetrics, StormSim,
     };
     pub use crate::jitsu::config::{JitsuConfig, Protocol, ServiceConfig};
-    pub use crate::jitsu::directory::{DirectoryAction, DirectoryService, ServicePhase};
+    pub use crate::jitsu::directory::{DirectoryAction, DirectoryService};
     pub use crate::jitsu::handoff::{HandoffCoordinator, HandoffPhase};
-    pub use crate::jitsu::jitsud::{ColdStartMode, ColdStartReport, Jitsud, RequestOutcome};
     pub use crate::jitsu::launcher::Launcher;
     pub use crate::jitsu::synjitsu::Synjitsu;
     pub use crate::netstack::dns::DnsMessage;

@@ -1,7 +1,10 @@
 //! Cross-crate integration tests of the paper's headline flow: DNS-triggered
-//! summoning with Synjitsu masking boot latency (Figures 6 and 9a).
+//! summoning with Synjitsu masking boot latency (Figures 6 and 9a), one
+//! query at a time on the daemon's engine.
 
 use jitsu_repro::prelude::*;
+
+const ALICE: &str = "alice.family.name";
 
 fn config_with(names: &[&str]) -> JitsuConfig {
     let mut config = JitsuConfig::new("family.name");
@@ -14,127 +17,145 @@ fn config_with(names: &[&str]) -> JitsuConfig {
     config
 }
 
-const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 100);
+/// One cold start: a single DNS query for `alice`, run to quiescence.
+/// Returns the finished engine and the query's TTFB in milliseconds.
+fn cold_start(config: JitsuConfig, board: Board, seed: u64) -> (StormSim, f64) {
+    let mut sim = ConcurrentJitsud::sim(config, board, seed);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, ALICE);
+    sim.run();
+    let m = sim.world().metrics();
+    assert_eq!((m.launches, m.cold_served), (1, 1));
+    let ttfb = m.ttfb.p50_ms();
+    (sim, ttfb)
+}
 
 #[test]
 fn cold_start_serves_the_buffered_request_through_the_handoff() {
-    let mut jitsud = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::Cubieboard2.board(),
-        1,
+    let (sim, ttfb) = cold_start(config_with(&[ALICE]), BoardKind::Cubieboard2.board(), 1);
+    let world = sim.world();
+    let m = world.metrics();
+    // Paper envelope: the first response byte arrives at roughly the
+    // cold-boot latency (≈300 ms), far below the 1 s retransmission that
+    // would otherwise dominate.
+    assert!(
+        (250.0..420.0).contains(&ttfb),
+        "optimised ARM cold start = {ttfb} ms"
     );
-    let report = jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert_eq!(report.http_status, 200);
-    assert!(report.proxied);
-    assert_eq!(report.syn_retransmissions, 0);
-    // Paper envelope: DNS answered in milliseconds, full response at roughly
-    // the cold-boot latency (≈300–350 ms), far below the 1 s retransmission
-    // that would otherwise dominate.
-    assert!(report.dns_response_time < SimDuration::from_millis(10));
-    assert!(report.http_response_time < SimDuration::from_millis(450));
-    assert!(report.http_response_time > SimDuration::from_millis(150));
-    // The handoff flow left its trail: proxy handshake before unikernel adoption.
-    assert!(jitsud
+    // Synjitsu proxied the connection and handed it over; the unikernel's
+    // response reached the client byte for byte.
+    assert_eq!(m.syn_handoffs, 1);
+    assert_eq!(m.handoff.migrated, 1);
+    assert_eq!(m.handoff.completed, 1);
+    assert_eq!(
+        (m.handoff.dropped_bytes, m.handoff.duplicated_bytes),
+        (0, 0)
+    );
+    // Figure 6's flow left its trail, in order.
+    assert!(world
         .tracer
-        .happens_before("handshake completed", "adopted proxied connections"));
+        .happens_before("summoning", "handed over 1 connection(s)"));
+    assert!(world
+        .tracer
+        .happens_before("handed over 1 connection(s)", "alice.family.name ready"));
 }
 
 #[test]
 fn synjitsu_disabled_falls_back_to_tcp_retransmission() {
-    let mut jitsud = Jitsud::new(
-        config_with(&["alice.family.name"]).without_synjitsu(),
-        BoardKind::Cubieboard2.board(),
-        2,
+    let board = || BoardKind::Cubieboard2.board();
+    let (_, optimised) = cold_start(config_with(&[ALICE]), board(), 2);
+    let (_, vanilla) = cold_start(config_with(&[ALICE]).with_vanilla_toolstack(), board(), 2);
+    let (sim, none) = cold_start(config_with(&[ALICE]).without_synjitsu(), board(), 2);
+    // Without Synjitsu the early SYN is lost: nothing is handed over and
+    // the client's 1 s retransmission dominates.
+    assert_eq!(sim.world().metrics().syn_handoffs, 0);
+    assert!(none > 1_000.0, "no Synjitsu = {none} ms");
+    // The vanilla toolstack with Synjitsu lands in between.
+    assert!(
+        optimised < vanilla && vanilla < 1_000.0,
+        "optimised {optimised} ms, vanilla {vanilla} ms"
     );
-    let report = jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert_eq!(report.http_status, 200);
-    assert!(!report.proxied);
-    assert!(report.syn_retransmissions >= 1);
-    assert!(report.http_response_time > SimDuration::from_secs(1));
 }
 
 #[test]
 fn warm_requests_hit_the_running_unikernel_in_milliseconds() {
-    let mut jitsud = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::Cubieboard2.board(),
-        3,
-    );
-    jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    for _ in 0..5 {
-        let warm = jitsud
-            .warm_request("alice.family.name", CLIENT, "/")
-            .unwrap();
-        assert_eq!(warm.http_status, 200);
-        assert!(warm.response_time < SimDuration::from_millis(15));
+    let mut sim = ConcurrentJitsud::sim(config_with(&[ALICE]), BoardKind::Cubieboard2.board(), 3);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, ALICE);
+    sim.run_until(SimTime::from_secs(1));
+    let cold = sim.world().metrics().ttfb.p50_ms();
+    for i in 1..=5 {
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(i), ALICE);
     }
+    sim.run_until(SimTime::from_secs(10));
+    let m = sim.world().metrics();
+    // DNS for a running service answers without relaunching.
+    assert_eq!(m.launches, 1);
+    assert_eq!(m.warm_hits, 5);
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
+    // Of the six samples, the 80th percentile (rank 4 of 0..=5) is the
+    // fifth fastest. Below the cold start and below 25 ms, it shows that
+    // all five warm requests took a DNS round trip plus the ≈5 ms local
+    // request path.
+    let slowest_warm = m.ttfb.percentile_ms(80.0);
+    assert!(
+        slowest_warm < cold && slowest_warm < 25.0,
+        "warm {slowest_warm} ms vs cold {cold} ms"
+    );
 }
 
 #[test]
 fn multiple_tenants_are_isolated_domains_on_one_board() {
-    let names = ["alice.family.name", "bob.family.name", "carol.family.name"];
-    let mut jitsud = Jitsud::new(config_with(&names), BoardKind::Cubieboard2.board(), 4);
+    let names = [ALICE, "bob.family.name", "carol.family.name"];
+    let mut sim = ConcurrentJitsud::sim(config_with(&names), BoardKind::Cubieboard2.board(), 4);
     for name in names {
-        let report = jitsud.cold_start_request(name, CLIENT, "/").unwrap();
-        assert_eq!(report.http_status, 200, "{name}");
+        ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, name);
     }
-    assert_eq!(jitsud.running_count(), 3);
-    // Each tenant got its own response body (served by its own appliance).
-    let a = jitsud
-        .warm_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    let b = jitsud.warm_request("bob.family.name", CLIENT, "/").unwrap();
-    assert_eq!(a.http_status, 200);
-    assert_eq!(b.http_status, 200);
+    sim.run_until(SimTime::from_secs(2));
+    let world = sim.world();
+    let m = world.metrics();
+    assert_eq!(m.launches, 3, "one domain per tenant");
+    assert_eq!(world.running_count(), 3);
+    // Each client's response is compared byte for byte with its own
+    // tenant's page: every one arrived intact, from its own appliance.
+    assert_eq!(m.handoff.completed, 3);
+    assert_eq!(
+        (m.handoff.dropped_bytes, m.handoff.duplicated_bytes),
+        (0, 0)
+    );
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(2), ALICE);
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(2), "bob.family.name");
+    sim.run_until(SimTime::from_secs(3));
+    let m = sim.world().metrics();
+    assert_eq!((m.warm_hits, m.launches), (2, 3));
 }
 
 #[test]
 fn x86_cold_starts_are_an_order_of_magnitude_faster_than_arm() {
-    let mut arm = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::Cubieboard2.board(),
-        5,
-    );
-    let mut x86 = Jitsud::new(
-        config_with(&["alice.family.name"]),
-        BoardKind::X86Server.board(),
-        5,
-    );
-    let arm_report = arm
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    let x86_report = x86
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    let ratio =
-        arm_report.http_response_time.as_secs_f64() / x86_report.http_response_time.as_secs_f64();
+    let (_, arm) = cold_start(config_with(&[ALICE]), BoardKind::Cubieboard2.board(), 5);
+    let (_, x86) = cold_start(config_with(&[ALICE]), BoardKind::X86Server.board(), 5);
+    assert!((20.0..80.0).contains(&x86), "x86 cold start = {x86} ms");
+    let ratio = arm / x86;
     assert!(ratio > 4.0, "ARM/x86 cold-start ratio = {ratio:.1}");
-    assert!(x86_report.http_response_time < SimDuration::from_millis(80));
 }
 
 #[test]
 fn idle_retirement_frees_memory_for_other_tenants() {
-    let names = ["alice.family.name", "bob.family.name"];
-    let mut config = config_with(&names);
-    config.idle_timeout = Some(SimDuration::from_secs(60));
-    let mut jitsud = Jitsud::new(config, BoardKind::Cubieboard2.board(), 6);
-    jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert!(jitsud.is_running("alice.family.name"));
-    jitsud.advance_clock(SimDuration::from_secs(300));
-    let retired = jitsud.retire_idle();
-    assert_eq!(retired.len(), 1);
-    assert!(!jitsud.is_running("alice.family.name"));
-    // And it can be resummoned.
-    let again = jitsud
-        .cold_start_request("alice.family.name", CLIENT, "/")
-        .unwrap();
-    assert_eq!(again.http_status, 200);
+    let names = [ALICE, "bob.family.name"];
+    let config = config_with(&names).with_idle_timeout(SimDuration::from_secs(60));
+    let mut sim = ConcurrentJitsud::sim(config, BoardKind::Cubieboard2.board(), 6);
+    let free = sim.world().effective_free_mib();
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::ZERO, ALICE);
+    sim.run_until(SimTime::from_secs(30));
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
+    assert!(sim.world().effective_free_mib() < free);
+    // Idle past the TTL: reaped, and its memory is back in the pool.
+    sim.run_until(SimTime::from_secs(300));
+    assert_eq!(sim.world().metrics().reaps, 1);
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Idle);
+    assert_eq!(sim.world().effective_free_mib(), free);
+    // And it can be resummoned from scratch.
+    ConcurrentJitsud::inject_query(&mut sim, SimTime::from_secs(300), ALICE);
+    sim.run_until(SimTime::from_secs(301));
+    let m = sim.world().metrics();
+    assert_eq!(sim.world().phase(ALICE), LifecyclePhase::Running);
+    assert_eq!((m.launches, m.cold_served, m.handoff.completed), (2, 2, 2));
 }
